@@ -4,22 +4,23 @@ Every returned value carries an explicit error bound: zeta values come
 from a partial sum plus a bracketing integral tail, Euler products from
 a truncation at a prime bound P plus an integral bound on the discarded
 log-tail.  Accumulation runs in decimal arithmetic at 30 significant
-digits, so the working precision never limits the reported bounds at
-desk scale.
+digits, in a local context that leaves the caller's precision alone, so
+the working precision never limits the reported bounds at desk scale.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable
 
 from .errors import BadParams, DivergentTail
 from .polys import phi_poly, poly_degree, poly_eval
 
-getcontext().prec = 30
+_DECIMAL = Context(prec=30)
 
 MAX_SIEVE = 10 ** 8
 EXACT_ZETA = "exact-zeta"
@@ -60,6 +61,15 @@ class EulerProductSpec:
             raise BadParams("tail constant must be >= 0")
 
 
+def _at_working_precision(fn):
+    """Run fn with Decimal arithmetic at 30 significant digits."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with localcontext(_DECIMAL):
+            return fn(*args, **kwargs)
+    return wrapper
+
+
 def sieve_primes(P: int) -> list[int]:
     """Primes <= P by Eratosthenes; refused above the sieve cap."""
     if P > MAX_SIEVE:
@@ -78,6 +88,7 @@ def sieve_primes(P: int) -> list[int]:
 # Riemann zeta at integers >= 2
 # ---------------------------------------------------------------------------
 
+@_at_working_precision
 def _zeta_decimal(s: int, eps: float) -> tuple[Decimal, Decimal]:
     """(value, error bound) with |value - zeta(s)| <= error <= eps.
 
@@ -106,6 +117,7 @@ def zeta_value(s: int, eps: float = 1e-9) -> DensityValue:
     return DensityValue(float(value), float(err) + 1e-15, None, EXACT_ZETA)
 
 
+@_at_working_precision
 def _inv_with_error(v: Decimal, e: Decimal) -> tuple[Decimal, Decimal]:
     """1/v with propagated absolute error, for v - e > 0."""
     assert v > e
@@ -126,6 +138,7 @@ def _product_with_errors(pairs) -> tuple[Decimal, Decimal]:
 # Specific densities
 # ---------------------------------------------------------------------------
 
+@_at_working_precision
 def den_Zn(k: int, n: int, eps: float = 1e-10) -> DensityValue:
     """Density of k-tuples generating the module Z^n:
     prod_{m=k-n+1}^{k} zeta(m)^-1, which is 0 at k = n (the zeta(1) factor).
@@ -142,6 +155,7 @@ def den_Zn(k: int, n: int, eps: float = 1e-10) -> DensityValue:
     return DensityValue(float(value), float(err) + 1e-15, None, EXACT_ZETA)
 
 
+@_at_working_precision
 def den_matrix(n: int, k: int, P: int = 10 ** 5, eps: float = 1e-10) -> DensityValue:
     """Density of k-tuples generating M_n(Z), n in {2, 3}.
 
@@ -184,6 +198,7 @@ def den_matrix(n: int, k: int, P: int = 10 ** 5, eps: float = 1e-10) -> DensityV
     return DensityValue(float(value), float(err) + 1e-15, P, EULER_TRUNCATION)
 
 
+@_at_working_precision
 def euler_product(spec: EulerProductSpec) -> DensityValue:
     """prod_{p <= P} local_factor(p) with a certified bound on the tail.
 

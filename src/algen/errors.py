@@ -70,9 +70,5 @@ class CertificationFailed(AlgenError):
     """A constructive witness failed its own verification step."""
 
 
-class UnknownCommand(ValidationError):
-    pass
-
-
 class InvalidJSON(ValidationError):
     pass

@@ -16,6 +16,7 @@ from .errors import (
     BadParams,
     DimensionMismatch,
     DivisionByZero,
+    FactorizationIncomplete,
     NonPrime,
     TooLarge,
 )
@@ -32,11 +33,13 @@ _TABLE_CAP = 512
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+TRIAL_DIVISION_BOUND = 10 ** 6
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, r = n - 1, 0
@@ -82,19 +85,30 @@ def prime_power_split(q: int) -> tuple[int, int]:
     return p, e
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors by trial division (small arguments only)."""
+def prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of a positive integer, in increasing order.
+
+    Trial division up to 10^6, then a primality verdict on the cofactor;
+    an unresolved composite cofactor is reported, never guessed.
+    """
+    if n < 1:
+        raise BadParams(f"expected a positive integer, got {n}")
     out = []
+    m = n
     d = 2
-    while d * d <= n:
-        if n % d == 0:
+    while d <= TRIAL_DIVISION_BOUND and d * d <= m:
+        if m % d == 0:
             out.append(d)
-            while n % d == 0:
-                n //= d
+            while m % d == 0:
+                m //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    if m > 1:
+        # composite cofactors up to 10^12 would have a factor <= 10^6
+        if m > TRIAL_DIVISION_BOUND ** 2 and not is_prime(m):
+            raise FactorizationIncomplete(
+                f"cofactor {m} of {n} is composite but unfactored")
+        out.append(m)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +367,6 @@ def mat_identity(n: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
 
-def mat_scalar(ctx: FieldCtx, n: int, c: int) -> tuple[int, ...]:
-    return tuple(c if i == j else 0 for i in range(n) for j in range(n))
-
-
 def mat_mul(ctx: FieldCtx, n: int, A, B) -> tuple[int, ...]:
     mul = ctx.mul
     add = ctx.add
@@ -382,7 +392,17 @@ def mat_rank(ctx: FieldCtx, n: int, A) -> int:
     return _echelon_rank(ctx, rows, n)
 
 
+def mat_inv(ctx: FieldCtx, n: int, A) -> tuple[int, ...]:
+    """Inverse via Gauss-Jordan on [A | I]; DivisionByZero if A is singular."""
+    rows = [list(A[i * n:(i + 1) * n]) + [1 if j == i else 0 for j in range(n)]
+            for i in range(n)]
+    if _echelon_rank(ctx, rows, n) < n:
+        raise DivisionByZero("singular matrix has no inverse")
+    return tuple(rows[i][n + j] for i in range(n) for j in range(n))
+
+
 def _echelon_rank(ctx: FieldCtx, rows, width: int) -> int:
+    """Gauss-Jordan on the first width columns, in place; returns the rank."""
     rank = 0
     col = 0
     while col < width and rank < len(rows):

@@ -17,6 +17,7 @@ from functools import lru_cache
 from . import ffalg
 from .errors import BadParams, ShapeMismatch, TooLarge, UnsupportedSize
 from .ffalg import FieldCtx, FqEchelon, make_field, mat_mul
+from .parutil import sharded_sum
 
 DEFAULT_ENUM_CAP = 2 ** 30
 
@@ -24,7 +25,12 @@ DEFAULT_ENUM_CAP = 2 ** 30
 def enum_cap() -> int:
     """Enumeration cap; ALGEN_ENUM_CAP overrides the default."""
     v = os.environ.get("ALGEN_ENUM_CAP")
-    return int(v) if v else DEFAULT_ENUM_CAP
+    if not v:
+        return DEFAULT_ENUM_CAP
+    try:
+        return int(v)
+    except ValueError:
+        raise BadParams(f"ALGEN_ENUM_CAP is not an integer: {v!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +284,16 @@ def f2_generating_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """
     if n < 2 or n > 3:
         raise UnsupportedSize("pair table kept for n in {2, 3} only")
+    return tuple(f2_pairs(n, 0, 1 << (n * n)))
+
+
+def f2_pairs(n: int, lo: int, hi: int):
+    """Yield the generating pairs a < b of M_n(F_2) codes with lo <= a < hi."""
     q = 1 << (n * n)
-    out = []
-    for a in range(q):
+    for a in range(lo, hi):
         for b in range(a + 1, q):
             if _f2_generates(n, 1, ((a,), (b,))):
-                out.append((a, b))
-    return tuple(out)
+                yield a, b
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +366,7 @@ def _brute_single(k: int, n: int, ctx: FieldCtx, s: int, threads: int) -> int:
     ext = _ext_field(ctx, s)
     Q = ext.q ** (n * n)
     if ctx.q == 2 and s == 1 and n in (2, 3) and k == 2:
-        if threads > 1:
-            return _f2_pairs_sharded(n, threads)
-        return 2 * len(f2_generating_pairs(n))
+        return 2 * sharded_sum(_f2_pair_shard, (n,), 1 << (n * n), threads)[0]
     shape = shape_over_field(ctx, [(n, s, 1)])
     decode = _matrix_decoder(ext, n)
     if k == 2:
@@ -395,23 +402,8 @@ def _matrix_decoder(ext: FieldCtx, n: int):
     return decode
 
 
-def _f2_pair_shard(args) -> int:
-    n, lo, hi = args
-    q = 1 << (n * n)
-    total = 0
-    for a in range(lo, hi):
-        for b in range(a + 1, q):
-            if _f2_generates(n, 1, ((a,), (b,))):
-                total += 2
-    return total
-
-
-def _f2_pairs_sharded(n: int, threads: int) -> int:
-    q = 1 << (n * n)
-    bounds = [q * i // (4 * threads) for i in range(4 * threads + 1)]
-    shards = [(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    from .parutil import map_shards
-    return sum(map_shards(_f2_pair_shard, shards, threads))
+def _f2_pair_shard(args) -> tuple[int]:
+    return (sum(1 for _ in f2_pairs(*args)),)
 
 
 def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
@@ -452,35 +444,12 @@ def _decode_tuple(code: int, Q: int, k: int, decode):
 
 def _automorphisms(ctx: FieldCtx, ext: FieldCtx, n: int):
     """All (g, g_inverse, galois power j) for M_n(ext) as a ctx-algebra."""
-    gs = ffalg.gl_elements(ext, n)
-    s = 1
-    v = ctx.q
-    while v < ext.q:
-        v *= ctx.q
-        s += 1
+    s = ffalg._galois_order(ext, ctx.q)
     out = []
-    for g in gs:
-        ginv = _mat_inv(ext, n, g)
-        for j in range(s):
-            out.append((g, ginv, j))
+    for g in ffalg.gl_elements(ext, n):
+        ginv = ffalg.mat_inv(ext, n, g)
+        out.extend((g, ginv, j) for j in range(s))
     return out
-
-
-def _mat_inv(ctx: FieldCtx, n: int, A):
-    """Inverse via Gauss-Jordan on [A | I]."""
-    rows = [list(A[i * n:(i + 1) * n]) + [1 if j == i else 0 for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv_p = ctx.inv(rows[col][col])
-        rows[col] = [ctx.mul(inv_p, v) for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [ctx.sub(x, ctx.mul(f, y))
-                           for x, y in zip(rows[r], rows[col])]
-    return tuple(rows[i][n + j] for i in range(n) for j in range(n))
 
 
 def _orbit_key(ctx: FieldCtx, ext: FieldCtx, n: int, tup, auts):

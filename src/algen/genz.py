@@ -15,16 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ffalg, genff
-from .errors import (
-    BadParams,
-    CertificationFailed,
-    FactorizationIncomplete,
-    ShapeMismatch,
-    UnsupportedSize,
-)
+from .errors import BadParams, CertificationFailed, ShapeMismatch, UnsupportedSize
+from .ffalg import prime_factors as factor_index
 from .genff import AlgebraShape, shape_over_Z
-
-TRIAL_DIVISION_BOUND = 10 ** 6
+from .parutil import sharded_sum
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -103,22 +97,6 @@ class _ZEchelon:
                 v = newv
                 changed = True
         return changed
-
-    def reduce(self, vec) -> list[int]:
-        """Residue of vec modulo the lattice (no insertion)."""
-        v = list(vec)
-        for j in range(self.D):
-            a = v[j]
-            if not a:
-                continue
-            row = self.rows.get(j)
-            if row is None:
-                continue
-            q = a // row[j]
-            if q:
-                for t in range(j, self.D):
-                    v[t] -= q * row[t]
-        return v
 
     def contains(self, vec) -> bool:
         v = list(vec)
@@ -294,35 +272,6 @@ class ZGenReport:
     bad_primes: tuple[int, ...]    # primes where generation fails; sorted
 
 
-def factor_index(index: int) -> tuple[int, ...]:
-    """Distinct prime factors of a positive index.
-
-    Trial division up to 10^6, then a primality verdict on the cofactor;
-    an unresolved composite cofactor is reported, never guessed.
-    """
-    if index < 1:
-        raise BadParams("index must be positive")
-    out = []
-    n = index
-    d = 2
-    while d <= TRIAL_DIVISION_BOUND and d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        if n <= TRIAL_DIVISION_BOUND ** 2:
-            # composite cofactors this small would have a factor <= 10^6
-            out.append(n)
-        elif ffalg.is_prime(n):
-            out.append(n)
-        else:
-            raise FactorizationIncomplete(
-                f"cofactor {n} of index {index} is composite but unfactored")
-    return tuple(sorted(out))
-
-
 def generates_Z(shape: AlgebraShape, t) -> ZGenReport:
     """Certify generation over Z: full rank and index 1 in the closure."""
     lat = closure_lattice(shape, t)
@@ -493,7 +442,7 @@ def m2f2_pair_orbits() -> list[list[tuple[int, int]]]:
         amat = _code_to_zmat(2, pair[0])
         bmat = _code_to_zmat(2, pair[1])
         for g in gl:
-            ginv = genff._mat_inv(ctx, 2, g)
+            ginv = ffalg.mat_inv(ctx, 2, g)
             ga = ffalg.mat_mul(ctx, 2, ffalg.mat_mul(ctx, 2, g, amat), ginv)
             gb = ffalg.mat_mul(ctx, 2, ffalg.mat_mul(ctx, 2, g, bmat), ginv)
             orbit.add((genff._f2_encode(ga), genff._f2_encode(gb)))
@@ -526,19 +475,15 @@ def construct_M2Z16():
 
 def _census_shard(args) -> tuple[int, int]:
     n, lo, hi = args
-    q = 1 << (n * n)
     shape = shape_over_Z([(n, 1)])
+    mats = [_code_to_zmat(n, c) for c in range(1 << (n * n))]
     gen = 0
     fail = 0
-    for a in range(lo, hi):
-        amat = _code_to_zmat(n, a)
-        for b in range(a + 1, q):
-            if not genff._f2_generates(n, 1, ((a,), (b,))):
-                continue
-            gen += 2
-            rep = generates_Z(shape, [(amat,), (_code_to_zmat(n, b),)])
-            if not rep.generates:
-                fail += 2
+    for a, b in genff.f2_pairs(n, lo, hi):
+        gen += 2
+        # only the verdict counts here, so the index is never factored
+        if closure_lattice(shape, [(mats[a],), (mats[b],)]).index != 1:
+            fail += 2
     return gen, fail
 
 
@@ -552,12 +497,4 @@ def zero_one_census(n: int, threads: int = 1) -> tuple[int, int]:
     """
     if n not in (2, 3):
         raise UnsupportedSize("census covers n in {2, 3}")
-    q = 1 << (n * n)
-    if threads <= 1:
-        return _census_shard((n, 0, q))
-    shard_count = 4 * threads
-    bounds = [q * i // shard_count for i in range(shard_count + 1)]
-    shards = [(n, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    from .parutil import map_shards
-    parts = map_shards(_census_shard, shards, threads)
-    return tuple(sum(col) for col in zip(*parts))
+    return sharded_sum(_census_shard, (n,), 1 << (n * n), threads)

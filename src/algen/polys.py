@@ -51,14 +51,6 @@ def poly_add(f: IntPoly, g: IntPoly) -> IntPoly:
     return poly_trim(out)
 
 
-def poly_neg(f: IntPoly) -> IntPoly:
-    return tuple(-c for c in f)
-
-
-def poly_sub(f: IntPoly, g: IntPoly) -> IntPoly:
-    return poly_add(f, poly_neg(g))
-
-
 def poly_mul(f: IntPoly, g: IntPoly) -> IntPoly:
     if not f or not g:
         return ()

@@ -19,6 +19,7 @@ import numpy as np
 from . import genz
 from .errors import BadParams, TooLarge
 from .genff import AlgebraShape, enum_cap
+from .parutil import sharded_sum
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -42,7 +43,9 @@ class SplitMix64:
         return _mix64(self.state)
 
     def uniform(self, m: int) -> int:
-        """Uniform draw from [0, m) by rejection."""
+        """Uniform draw from [0, m) by rejection, for 1 <= m <= 2^64."""
+        if not 1 <= m <= 1 << 64:
+            raise BadParams(f"draw range {m} outside [1, 2^64]")
         bound = (1 << 64) - ((1 << 64) % m)
         while True:
             r = self.next64()
@@ -65,6 +68,8 @@ class BoxModel:
     def __post_init__(self):
         if self.N < 0 or self.samples < 0:
             raise BadParams("half-width and sample count must be >= 0")
+        if self.N >= 1 << 63:
+            raise BadParams("half-width must be below 2^63, so 2N+1 <= 2^64")
 
 
 @dataclass(frozen=True)
@@ -97,42 +102,27 @@ def sample_tuple(shape: AlgebraShape, k: int, box: BoxModel, index: int = 0):
     return tuple(out)
 
 
-def _mc_shard(args) -> int:
-    blocks, k, N, seed, lo, hi = args
-    shape = AlgebraShape(blocks, None)
-    box = BoxModel(N, seed)
+def _mc_shard(args) -> tuple[int]:
+    shape, k, box, lo, hi = args
     hits = 0
     for i in range(lo, hi):
         t = sample_tuple(shape, k, box, i)
-        if genz.generates_Z(shape, t).generates:
+        if genz.closure_lattice(shape, t).index == 1:
             hits += 1
-    return hits
+    return (hits,)
 
 
 def mc_density(shape: AlgebraShape, k: int, box: BoxModel,
-               predicate=None, threads: int = 1) -> DensityEstimate:
-    """Monte-Carlo estimate of the density of generating k-tuples.
+               threads: int = 1) -> DensityEstimate:
+    """Monte-Carlo estimate of the density of k-tuples generating over Z.
 
-    The default predicate is Z-algebra generation via the lattice closure;
-    a custom predicate (tuple -> bool) forces single-threaded execution.
+    A sample counts as a hit when its lattice closure has index 1; the
+    index is never factored, since only the verdict is needed.
     """
     if box.samples < 1:
         raise BadParams("need at least one sample")
     trials = box.samples
-    if predicate is None and threads > 1 and shape.ctx is None:
-        shard_count = 4 * threads
-        bounds = [trials * i // shard_count for i in range(shard_count + 1)]
-        shards = [(shape.blocks, k, box.N, box.seed, lo, hi)
-                  for lo, hi in zip(bounds, bounds[1:])]
-        from .parutil import map_shards
-        hits = sum(map_shards(_mc_shard, shards, threads))
-    else:
-        if predicate is None:
-            predicate = lambda t: genz.generates_Z(shape, t).generates
-        hits = 0
-        for i in range(trials):
-            if predicate(sample_tuple(shape, k, box, i)):
-                hits += 1
+    hits, = sharded_sum(_mc_shard, (shape, k, box), trials, threads)
     phat = hits / trials
     ci = 1.96 * math.sqrt(phat * (1 - phat) / trials)
     return DensityEstimate(hits, trials, Fraction(hits, trials), ci)
@@ -178,22 +168,27 @@ def _value_bound(terms, N: int) -> int:
     return sum(abs(c) * max(N, 1) ** sum(exps) for exps, c in terms)
 
 
-def _eval_last_axis(terms, fixed, xs):
-    """Evaluate at (fixed..., xs) with numpy Horner over the last variable."""
+def _eval_last_axis(terms, fixed, xs, p: int | None = None):
+    """Evaluate at (fixed..., xs) with numpy Horner over the last variable;
+    with a modulus p every step is reduced mod p."""
     by_deg: dict[int, int] = {}
     for exps, c in terms:
         scalar = c
         for v, e in zip(fixed, exps[:-1]):
             if e:
-                scalar *= v ** e
+                scalar *= pow(v, e, p)
         d = exps[-1]
         by_deg[d] = by_deg.get(d, 0) + scalar
     if not by_deg:
         return np.zeros_like(xs)
+    if p is not None:
+        by_deg = {d: c % p for d, c in by_deg.items()}
     maxd = max(by_deg)
-    acc = np.full_like(xs, by_deg.get(maxd, 0))
+    acc = np.full_like(xs, by_deg[maxd])
     for d in range(maxd - 1, -1, -1):
         acc = acc * xs + by_deg.get(d, 0)
+        if p is not None:
+            acc %= p
     return acc
 
 
@@ -203,6 +198,8 @@ def exhaustive_poly_density(polys, N: int, cap: int | None = None) -> Fraction:
 
     The result is a rational with denominator (2N+1)^n exactly.
     """
+    if N < 0:
+        raise BadParams(f"half-width must be >= 0, got {N}")
     system, nvars = _normalize_system(polys)
     if cap is None:
         cap = enum_cap()
@@ -257,31 +254,12 @@ def local_zero_count(polys, p: int, n: int | None = None,
     if p ** nvars > cap:
         raise TooLarge(f"{p ** nvars} points exceed enumeration cap {cap}")
     xs = np.arange(p, dtype=np.int64)
-    reduced = [tuple((exps, c % p) for exps, c in terms) for terms in system]
     count = 0
     for fixed in itertools.product(range(p), repeat=nvars - 1):
         mask = None
-        for terms in reduced:
-            vals = _eval_mod_last_axis(terms, fixed, xs, p)
-            zero = vals == 0
+        for terms in system:
+            zero = _eval_last_axis(terms, fixed, xs, p) == 0
             mask = zero if mask is None else (mask & zero)
         count += int(np.count_nonzero(mask))
     return count
 
-
-def _eval_mod_last_axis(terms, fixed, xs, p: int):
-    by_deg: dict[int, int] = {}
-    for exps, c in terms:
-        scalar = c % p
-        for v, e in zip(fixed, exps[:-1]):
-            if e:
-                scalar = scalar * pow(v, e, p) % p
-        d = exps[-1]
-        by_deg[d] = (by_deg.get(d, 0) + scalar) % p
-    if not by_deg:
-        return np.zeros_like(xs)
-    maxd = max(by_deg)
-    acc = np.full_like(xs, by_deg.get(maxd, 0))
-    for d in range(maxd - 1, -1, -1):
-        acc = (acc * xs + by_deg.get(d, 0)) % p
-    return acc

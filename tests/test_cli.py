@@ -152,3 +152,24 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+def test_mc_huge_half_width_decides_without_factoring(capsys):
+    # the closure index decides; its large cofactors are never factored
+    doc = run_json(capsys, "mc", "--n", "2", "--k", "2",
+                   "--N", str(2 ** 63 - 1), "--samples", "50")
+    assert doc["estimate_exact"] == "0/1" and doc["trials"] == 50
+
+
+def test_bad_inputs_exit_2(capsys, monkeypatch):
+    code, _ = run_cli(capsys, "mc", "--n", "2", "--k", "2",
+                      "--N", str(2 ** 63), "--samples", "5")
+    assert code == 2  # 2N+1 draws would exceed 2^64
+    code, _ = run_cli(capsys, "exhaustive", "--polys",
+                      '[{"1,0": 1}, {"0,1": 1}]', "--N", "-1")
+    assert code == 2
+    monkeypatch.setenv("ALGEN_ENUM_CAP", "abc")
+    code, _ = run_cli(capsys, "count", "--k", "2", "--n", "2", "--q", "2",
+                      "--brute")
+    assert code == 2
+

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -129,3 +132,15 @@ def test_monotone_truncation():
         if prev is not None:
             assert abs(d.value - prev.value) <= prev.abs_error_bound
         prev = d
+
+
+def test_import_leaves_decimal_precision_alone():
+    import algen
+
+    src = os.path.dirname(os.path.dirname(algen.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import decimal, algen; print(decimal.getcontext().prec)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "28"

@@ -12,6 +12,8 @@ from algen.ffalg import (
     group_orders,
     inv,
     make_field,
+    mat_identity,
+    mat_inv,
     mat_mul,
     multiplicative_generator,
     span_dimension,
@@ -227,3 +229,13 @@ def test_conjugate_tuples_galois():
     u1I = ((3, 0, 0, 3),)
     assert not are_conjugate_tuples(f4, uI, u1I, include_galois=False)
     assert are_conjugate_tuples(f4, uI, u1I, include_galois=True)
+
+
+def test_mat_inv_gl2_f4_and_gl3_f2():
+    for ctx, n in ((make_field(2, 2), 2), (make_field(2), 3)):
+        gl = gl_elements(ctx, n)
+        assert len(gl) == group_orders(n, ctx.q)[0]
+        for g in gl:
+            assert mat_mul(ctx, n, g, mat_inv(ctx, n, g)) == mat_identity(n)
+    with pytest.raises(DivisionByZero):
+        mat_inv(make_field(2, 2), 2, (1, 2, 1, 2))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from algen import ffalg, genff
-from algen.errors import ShapeMismatch, TooLarge, UnsupportedSize
+from algen.errors import BadParams, ShapeMismatch, TooLarge, UnsupportedSize
 from algen.ffalg import make_field, mat_mul
 from algen.genff import (
     alpha,
@@ -13,6 +13,7 @@ from algen.genff import (
     count_field_type_subalgebras,
     count_gen_power_formula,
     f2_generating_pairs,
+    f2_pairs,
     g_closed_form,
     gen_count,
     generates,
@@ -130,6 +131,12 @@ def test_enum_cap_env_override(monkeypatch):
         brute_count(2, 2, 2)
     monkeypatch.delenv("ALGEN_ENUM_CAP")
     assert brute_count(2, 2, 2).value == 96
+
+
+def test_enum_cap_env_not_an_integer(monkeypatch):
+    monkeypatch.setenv("ALGEN_ENUM_CAP", "abc")
+    with pytest.raises(BadParams):
+        brute_count(2, 2, 2)
 
 
 def test_gen_count_values():
@@ -372,3 +379,11 @@ def test_field_type_subalgebra_counts():
 
 def test_f2_generating_pairs_table():
     assert 2 * len(f2_generating_pairs(2)) == 96
+
+
+def test_f2_pairs_shards_join_to_the_table():
+    q = 1 << 9
+    bounds = [q * i // 4 for i in range(5)]
+    joined = tuple(pair for lo, hi in zip(bounds, bounds[1:])
+                   for pair in f2_pairs(3, lo, hi))
+    assert joined == f2_generating_pairs(3)

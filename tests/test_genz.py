@@ -280,7 +280,7 @@ def test_conj_invariant_is_conjugation_invariant_mod_p():
             X = tuple(rng.randrange(p) for _ in range(4))
             Y = tuple(rng.randrange(p) for _ in range(4))
             g = gl[rng.randrange(len(gl))]
-            ginv = genff._mat_inv(ctx, 2, g)
+            ginv = ffalg.mat_inv(ctx, 2, g)
             Xc = ffalg.mat_mul(ctx, 2, ffalg.mat_mul(ctx, 2, g, X), ginv)
             Yc = ffalg.mat_mul(ctx, 2, ffalg.mat_mul(ctx, 2, g, Y), ginv)
             a = tuple(v % p for v in conj_invariant(X, Y))

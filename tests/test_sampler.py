@@ -52,7 +52,8 @@ def test_coordinate_frequencies():
 
 
 def test_mc_density_constant_predicate():
-    est = mc_density(SHAPE2, 2, BoxModel(10, 1, 500), predicate=lambda t: True)
+    # 1 alone spans M_1(Z), so every tuple generates there
+    est = mc_density(shape_over_Z([(1, 1)]), 2, BoxModel(10, 1, 500))
     assert est.estimate == 1 and est.ci95_halfwidth == 0.0
     assert est == DensityEstimate(500, 500, Fraction(1), 0.0)
 
@@ -133,3 +134,20 @@ def test_poly_validation():
         exhaustive_poly_density([{(1, 0): 1, (0, 1, 1): 1}], 2)
     with pytest.raises(BadParams):
         exhaustive_poly_density([], 2)
+
+
+def test_uniform_rejects_ranges_beyond_64_bits():
+    rng = SplitMix64(1)
+    with pytest.raises(BadParams):
+        rng.uniform(2 ** 64 + 1)
+    with pytest.raises(BadParams):
+        rng.uniform(0)
+    assert 0 <= rng.uniform(2 ** 64) < 2 ** 64
+    with pytest.raises(BadParams):
+        BoxModel(2 ** 63, 1)
+    assert BoxModel(2 ** 63 - 1, 1).N == 2 ** 63 - 1
+
+
+def test_exhaustive_rejects_negative_half_width():
+    with pytest.raises(BadParams):
+        exhaustive_poly_density([X1, X2], -1)
