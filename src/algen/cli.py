@@ -105,7 +105,7 @@ def decode_tuple_Z(obj):
 def _emit(config: dict, payload: dict) -> None:
     doc = {"config": config}
     doc.update(payload)
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _density_payload(dv: density.DensityValue) -> dict:

@@ -98,8 +98,8 @@ def _zeta_decimal(s: int, eps: float) -> tuple[Decimal, Decimal]:
     """
     if s < 2:
         raise BadParams("zeta is evaluated at integers >= 2 only")
-    if eps <= 0:
-        raise BadParams("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise BadParams(f"eps must be positive and finite, got {eps}")
     M = max(4, math.ceil(eps ** (-1.0 / s)) + 1)
     if M > 10 ** 7:
         raise BadParams(f"eps = {eps} needs {M} terms; too small for s = {s}")

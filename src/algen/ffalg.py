@@ -33,6 +33,11 @@ _TABLE_CAP = 512
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# is_prime is a proof below this bound and only a probable-prime test from
+# it on: the bound is the least strong pseudoprime to all twelve bases,
+# 399165290221 * 798330580441.
+MR_DETERMINISTIC_BOUND = 318665857834031151167461
+
 TRIAL_DIVISION_BOUND = 10 ** 6
 
 
@@ -46,7 +51,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # Deterministic for n < 3.3e24 with these witnesses.
+    # Deterministic for n < MR_DETERMINISTIC_BOUND with these witnesses.
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -89,7 +94,8 @@ def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of a positive integer, in increasing order.
 
     Trial division up to 10^6, then a primality verdict on the cofactor;
-    an unresolved composite cofactor is reported, never guessed.
+    a composite cofactor, or one that is prime only by a probable-prime
+    test, is reported as FactorizationIncomplete, never guessed.
     """
     if n < 1:
         raise BadParams(f"expected a positive integer, got {n}")
@@ -104,9 +110,13 @@ def prime_factors(n: int) -> tuple[int, ...]:
         d += 1 if d == 2 else 2
     if m > 1:
         # composite cofactors up to 10^12 would have a factor <= 10^6
-        if m > TRIAL_DIVISION_BOUND ** 2 and not is_prime(m):
-            raise FactorizationIncomplete(
-                f"cofactor {m} of {n} is composite but unfactored")
+        if m > TRIAL_DIVISION_BOUND ** 2:
+            if not is_prime(m):
+                raise FactorizationIncomplete(
+                    f"cofactor {m} of {n} is composite but unfactored")
+            if m >= MR_DETERMINISTIC_BOUND:
+                raise FactorizationIncomplete(
+                    f"cofactor {m} of {n} is only a probable prime")
         out.append(m)
     return tuple(out)
 

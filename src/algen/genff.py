@@ -296,6 +296,54 @@ def f2_pairs(n: int, lo: int, hi: int):
                 yield a, b
 
 
+@lru_cache(maxsize=4)
+def _f2_symmetries(n: int) -> tuple[tuple[int, ...], ...]:
+    """Code permutation tables of the 2 * n! symmetries of the {0,1}
+    matrices that preserve generation over any ring: conjugation by a
+    permutation matrix (an automorphism), alone or followed by
+    transposition (an anti-automorphism).
+    """
+    nn = n * n
+    tables = []
+    for perm in itertools.permutations(range(n)):
+        for transpose in (False, True):
+            dest = []
+            for i in range(nn):
+                r, c = perm[i // n], perm[i % n]
+                dest.append(c * n + r if transpose else r * n + c)
+            tables.append(tuple(
+                sum(1 << dest[i] for i in range(nn) if code >> i & 1)
+                for code in range(1 << nn)))
+    return tuple(tables)
+
+
+def f2_pair_classes(n: int, lo: int, hi: int):
+    """Yield (a, b, size) for the orbits of unordered pairs a < b of
+    M_n(F_2) codes under _f2_symmetries, one per orbit, with lo <= b < hi.
+
+    (a, b) is the lexicographically least sorted image of the orbit and
+    size the number of its distinct images.  The least image starts with
+    a code that is least in its own orbit, so only such codes are tried
+    as a.
+    """
+    tables = _f2_symmetries(n)
+    least = [c for c in range(1 << (n * n)) if all(t[c] >= c for t in tables)]
+    for b in range(lo, hi):
+        for a in least:
+            if a >= b:
+                break
+            images = set()
+            for t in tables:
+                x, y = t[a], t[b]
+                if x > y:
+                    x, y = y, x
+                if x < a or (x == a and y < b):
+                    break
+                images.add((x, y))
+            else:
+                yield a, b, len(images)
+
+
 # ---------------------------------------------------------------------------
 # Power algebras: Theorem-of-simple-factors test
 # ---------------------------------------------------------------------------

@@ -259,6 +259,13 @@ def _sparse_dot(row, v) -> int:
     return acc
 
 
+def generates_Z_bool(shape: AlgebraShape, t) -> bool:
+    """The verdict of generates_Z without the HNF or the factoring: the
+    closure has full rank and its pivots multiply to 1.  HNF reduction
+    leaves the pivots alone, so the verdict is the same."""
+    return _closure_echelon(shape, t).index_if_full() == 1
+
+
 def closure_lattice(shape: AlgebraShape, t) -> Lattice:
     """HNF basis of the Z-span of all monomials in t (including 1)."""
     ech = _closure_echelon(shape, t)
@@ -479,11 +486,12 @@ def _census_shard(args) -> tuple[int, int]:
     mats = [_code_to_zmat(n, c) for c in range(1 << (n * n))]
     gen = 0
     fail = 0
-    for a, b in genff.f2_pairs(n, lo, hi):
-        gen += 2
-        # only the verdict counts here, so the index is never factored
-        if closure_lattice(shape, [(mats[a],), (mats[b],)]).index != 1:
-            fail += 2
+    for a, b, size in genff.f2_pair_classes(n, lo, hi):
+        if not genff._f2_generates(n, 1, ((a,), (b,))):
+            continue
+        gen += 2 * size
+        if not generates_Z_bool(shape, [(mats[a],), (mats[b],)]):
+            fail += 2 * size
     return gen, fail
 
 
@@ -493,7 +501,12 @@ def zero_one_census(n: int, threads: int = 1) -> tuple[int, int]:
     to generate M_n(Z).
 
     Generation depends only on the pair as a set and no single matrix
-    generates, so the sweep runs over unordered pairs with weight 2.
+    generates, so every unordered pair counts twice.  Conjugation by a
+    permutation matrix and transposition of both matrices preserve the
+    {0,1} set and generation over F_2 and over Z, so only one pair per
+    orbit of this group of order 2 * n! is decided, weighted by the
+    orbit's size.  Shards split the larger code b of the representative,
+    which keeps them balanced; representatives crowd at small a.
     """
     if n not in (2, 3):
         raise UnsupportedSize("census covers n in {2, 3}")

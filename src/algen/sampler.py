@@ -107,7 +107,7 @@ def _mc_shard(args) -> tuple[int]:
     hits = 0
     for i in range(lo, hi):
         t = sample_tuple(shape, k, box, i)
-        if genz.closure_lattice(shape, t).index == 1:
+        if genz.generates_Z_bool(shape, t):
             hits += 1
     return (hits,)
 
@@ -116,8 +116,9 @@ def mc_density(shape: AlgebraShape, k: int, box: BoxModel,
                threads: int = 1) -> DensityEstimate:
     """Monte-Carlo estimate of the density of k-tuples generating over Z.
 
-    A sample counts as a hit when its lattice closure has index 1; the
-    index is never factored, since only the verdict is needed.
+    A sample counts as a hit when genz.generates_Z_bool says it
+    generates; only the verdict is needed, so no HNF is taken and no
+    index is factored.
     """
     if box.samples < 1:
         raise BadParams("need at least one sample")

@@ -173,3 +173,24 @@ def test_bad_inputs_exit_2(capsys, monkeypatch):
                       "--brute")
     assert code == 2
 
+
+
+def test_non_finite_eps_exits_2(capsys):
+    for eps in ("nan", "inf", "-inf"):
+        code, out = run_cli(capsys, "density", "--kind", "zeta", "--s", "2",
+                            f"--eps={eps}")
+        assert code == 2 and out == ""
+
+
+def test_checkgen_probable_prime_index_exits_3(capsys, tmp_path):
+    # the index is (2^89 - 1)^2; its cofactor passes is_prime only as a
+    # probable prime, so no bad-prime list is certified
+    p = str(2 ** 89 - 1)
+    tup = {"k": 2, "elements": [
+        [{"n": 2, "entries": [0, p, 0, 0]}],
+        [{"n": 2, "entries": [0, 0, 1, 0]}],
+    ]}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tup))
+    code, out = run_cli(capsys, "checkgen", "--input", str(path))
+    assert code == 3 and out == ""

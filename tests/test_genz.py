@@ -1,8 +1,11 @@
+import itertools
+import multiprocessing
+import os
 import random
 
 import pytest
 
-from algen import ffalg, genff, genz
+from algen import ffalg, genff, genz, sampler
 from algen.errors import BadParams, FactorizationIncomplete, UnsupportedSize
 from algen.genff import f2_generating_pairs, shape_over_Z, shape_over_field
 from algen.genz import (
@@ -12,6 +15,7 @@ from algen.genz import (
     det_commutator_test,
     factor_index,
     generates_Z,
+    generates_Z_bool,
     generates_Zn_module,
     hnf,
     m2f2_pair_orbits,
@@ -332,6 +336,19 @@ def test_factor_index():
     # (1000003 is above the trial bound, so the cofactor is composite)
 
 
+def test_factor_index_refuses_probable_primes():
+    # the least strong pseudoprime to all twelve Miller-Rabin bases
+    psi12 = ffalg.MR_DETERMINISTIC_BOUND
+    assert psi12 == 399165290221 * 798330580441 and ffalg.is_prime(psi12)
+    # a prime past the bound is no better certified than psi12 itself
+    assert ffalg.is_prime(2 ** 89 - 1)
+    for n in (psi12, 2 ** 89 - 1, 3 * (2 ** 89 - 1)):
+        with pytest.raises(FactorizationIncomplete):
+            factor_index(n)
+    # the largest prime below the bound is still certified
+    assert factor_index(6 * (psi12 - 20)) == (2, 3, psi12 - 20)
+
+
 # ---------------------------------------------------------------------------
 # The witness and the census
 # ---------------------------------------------------------------------------
@@ -379,3 +396,116 @@ def test_census_threads_deterministic():
     assert zero_one_census(2, threads=3) == zero_one_census(2)
     with pytest.raises(UnsupportedSize):
         zero_one_census(4)
+
+
+def test_census_n3_threads_deterministic():
+    assert zero_one_census(3, threads=2) == zero_one_census(3) == (129024, 9132)
+
+
+def _mat_mul_int(n, A, B):
+    return tuple(sum(A[r * n + i] * B[i * n + c] for i in range(n))
+                 for r in range(n) for c in range(n))
+
+
+def _transpose(n, A):
+    return tuple(A[c * n + r] for r in range(n) for c in range(n))
+
+
+def _symmetric_images(n, a, b):
+    """Sorted images of the pair {a, b} under P X P^T and its transpose
+    for every permutation matrix P, computed on the matrices."""
+    mats = (genz._code_to_zmat(n, a), genz._code_to_zmat(n, b))
+    out = set()
+    for perm in itertools.permutations(range(n)):
+        P = tuple(int(perm[r] == c) for r in range(n) for c in range(n))
+        Pt = _transpose(n, P)
+        conj = [_mat_mul_int(n, _mat_mul_int(n, P, X), Pt) for X in mats]
+        for img in (conj, [_transpose(n, X) for X in conj]):
+            out.add(tuple(sorted(genff._f2_encode(X) for X in img)))
+    return out
+
+
+def test_pair_class_weights_cover_all_pairs():
+    for n in (2, 3):
+        q = 1 << (n * n)
+        classes = list(genff.f2_pair_classes(n, 0, q))
+        assert sum(size for _a, _b, size in classes) == q * (q - 1) // 2
+        assert len(classes) == {2: 49, 3: 11838}[n]
+
+
+def test_pair_classes_match_matrix_orbits_n2():
+    classes = {(a, b): size for a, b, size in genff.f2_pair_classes(2, 0, 16)}
+    least = set()
+    for a, b in itertools.combinations(range(16), 2):
+        images = _symmetric_images(2, a, b)
+        rep = min(images)
+        assert classes[rep] == len(images)
+        least.add(rep)
+    assert least == set(classes)
+
+
+def test_pair_class_representative_has_same_verdicts():
+    classes = {(a, b): size for a, b, size in genff.f2_pair_classes(3, 0, 512)}
+    fshape = shape_over_field(ffalg.make_field(2), [(3, 1, 1)])
+    rng = random.Random(4)
+    pairs = rng.sample(list(itertools.combinations(range(512), 2)), 200)
+
+    def verdicts(a, b):
+        t = [(genz._code_to_zmat(3, a),), (genz._code_to_zmat(3, b),)]
+        return (genff._generates_generic(fshape, t),
+                generates_Z(SHAPE3, t).generates)
+
+    seen = set()
+    for a, b in pairs:
+        images = _symmetric_images(3, a, b)
+        rep = min(images)
+        assert classes[rep] == len(images)
+        assert verdicts(a, b) == verdicts(*rep)
+        seen.add(verdicts(a, b))
+    assert len(seen) == 3  # no F_2, F_2 only, and Z generation all occur
+
+
+def test_census_shards_balanced(monkeypatch):
+    # count representatives per shard, running the 4 * T shards in-process
+    class InProcessPool:
+        def __init__(self, threads):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shards):
+            return [fn(shard) for shard in shards]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    classes = genff.f2_pair_classes
+    per_shard = []
+
+    def counting(n, lo, hi):
+        per_shard.append(0)
+        for rep in classes(n, lo, hi):
+            per_shard[-1] += 1
+            yield rep
+
+    monkeypatch.setattr(genff, "f2_pair_classes", counting)
+    assert zero_one_census(3, threads=2) == (129024, 9132)
+    assert len(per_shard) == 8 and sum(per_shard) == 11838
+    assert max(per_shard) <= 2 * sum(per_shard) / len(per_shard)
+
+
+def test_generates_Z_bool_matches_certificate():
+    for a, b in itertools.product(range(16), repeat=2):
+        t = [(genz._code_to_zmat(2, a),), (genz._code_to_zmat(2, b),)]
+        assert generates_Z_bool(SHAPE2, t) == generates_Z(SHAPE2, t).generates
+    box = sampler.BoxModel(200, 7)
+    hits = 0
+    for i in range(200):
+        t = sampler.sample_tuple(SHAPE3, 2, box, i)
+        verdict = generates_Z_bool(SHAPE3, t)
+        assert verdict == generates_Z(SHAPE3, t).generates
+        hits += verdict
+    assert 0 < hits < 200
