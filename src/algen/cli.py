@@ -121,10 +121,7 @@ def _density_payload(dv: density.DensityValue) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_count(args) -> int:
-    config = {"subcommand": "count", "k": args.k, "n": args.n, "q": args.q,
-              "s": args.s, "m": args.m, "mode": args.mode,
-              "threads": args.threads}
+def _cmd_count(args, config: dict) -> int:
     if args.mode in ("brute", "verify"):
         rep = genff.brute_count(args.k, args.n, args.q, s=args.s, m=args.m,
                                 threads=args.threads)
@@ -150,9 +147,7 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _cmd_density(args) -> int:
-    config = {"subcommand": "density", "kind": args.kind, "s": args.s,
-              "k": args.k, "n": args.n, "P": args.P, "eps": args.eps}
+def _cmd_density(args, config: dict) -> int:
     if args.kind == "zeta":
         dv = density.zeta_value(args.s, args.eps)
     elif args.kind == "zn":
@@ -165,10 +160,7 @@ def _cmd_density(args) -> int:
     return 0
 
 
-def _cmd_mc(args) -> int:
-    config = {"subcommand": "mc", "n": args.n, "m": args.m, "k": args.k,
-              "N": args.N, "samples": args.samples, "seed": args.seed,
-              "threads": args.threads}
+def _cmd_mc(args, config: dict) -> int:
     shape = genff.shape_over_Z([(args.n, args.m)])
     box = sampler.BoxModel(args.N, args.seed, args.samples)
     est = sampler.mc_density(shape, args.k, box, threads=args.threads)
@@ -212,9 +204,7 @@ def _load_polys(args):
     return out
 
 
-def _cmd_exhaustive(args) -> int:
-    config = {"subcommand": "exhaustive", "N": args.N,
-              "polys": args.polys, "polys_file": args.polys_file}
+def _cmd_exhaustive(args, config: dict) -> int:
     frac = sampler.exhaustive_poly_density(_load_polys(args), args.N)
     _emit(config, {
         "density": _enc_float(frac),
@@ -223,7 +213,7 @@ def _cmd_exhaustive(args) -> int:
     return 0
 
 
-def _cmd_checkgen(args) -> int:
+def _cmd_checkgen(args, config: dict) -> int:
     if args.input:
         with open(args.input) as fh:
             raw = fh.read()
@@ -236,8 +226,7 @@ def _cmd_checkgen(args) -> int:
     if "tuple" in obj:
         obj = obj["tuple"]
     shape, t = decode_tuple_Z(obj)
-    config = {"subcommand": "checkgen", "input": args.input,
-              "blocks": [[n, m] for n, _s, m in shape.blocks]}
+    config["blocks"] = [[n, m] for n, _s, m in shape.blocks]
     rep = genz.generates_Z(shape, t)
     _emit(config, {
         "generates": rep.generates,
@@ -247,9 +236,7 @@ def _cmd_checkgen(args) -> int:
     return 0
 
 
-def _cmd_construct(args) -> int:
-    config = {"subcommand": "construct", "what": args.what,
-              "n": args.n, "q": args.q, "s": args.s}
+def _cmd_construct(args, config: dict) -> int:
     if args.what == "m2z16":
         x, y = genz.construct_M2Z16()
         shape = genff.shape_over_Z([(2, 16)])
@@ -268,24 +255,20 @@ def _cmd_construct(args) -> int:
     raise ValidationError(f"unknown construction {args.what}")
 
 
-def _cmd_census(args) -> int:
-    config = {"subcommand": "census", "n": args.n, "threads": args.threads}
+def _cmd_census(args, config: dict) -> int:
     gen, fail = genz.zero_one_census(args.n, threads=args.threads)
     _emit(config, {"gen_mod2": _enc_int(gen), "fail_over_Z": _enc_int(fail)})
     return 0
 
 
-def _cmd_thresholds(args) -> int:
-    config = {"subcommand": "thresholds", "n": args.n, "m": args.m}
+def _cmd_thresholds(args, config: dict) -> int:
     rep = polys.min_generators(args.n, args.m)
     _emit(config, {"r": rep.r, "lower": _enc_int(rep.lower),
                    "upper": _enc_int(rep.upper)})
     return 0
 
 
-def _cmd_poly(args) -> int:
-    config = {"subcommand": "poly", "family": args.family, "k": args.k,
-              "eval": args.eval, "mod_p": args.mod_p}
+def _cmd_poly(args, config: dict) -> int:
     fam = {"f": polys.f_poly, "h": polys.h_poly,
            "phi": polys.phi_poly, "psi": polys.psi_poly}[args.family]
     poly = fam(args.k)
@@ -382,8 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    config = {key: _enc_int(v) if type(v) is int else v
+              for key, v in vars(args).items() if key != "fn"}
     try:
-        return args.fn(args)
+        return args.fn(args, config)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -34,10 +34,6 @@ class DensityValue:
     P: int | None          # prime truncation bound; None for exact-zeta routes
     method: str
 
-    def agrees_with(self, other: "DensityValue", slack: float = 0.0) -> bool:
-        return abs(self.value - other.value) <= (
-            self.abs_error_bound + other.abs_error_bound + slack)
-
 
 @dataclass(frozen=True)
 class EulerProductSpec:

@@ -42,6 +42,11 @@ TRIAL_DIVISION_BOUND = 10 ** 6
 
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin over _MR_BASES: a proof below MR_DETERMINISTIC_BOUND.
+
+    From the bound on a composite verdict is still certain, but a number
+    that passes every base is refused with FactorizationIncomplete.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -51,7 +56,6 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # Deterministic for n < MR_DETERMINISTIC_BOUND with these witnesses.
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -62,6 +66,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= MR_DETERMINISTIC_BOUND:
+        raise FactorizationIncomplete(f"{n} is only a probable prime")
     return True
 
 
@@ -69,25 +75,21 @@ def prime_power_split(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p**e, or raise BadParams."""
     if q < 2:
         raise BadParams(f"not a prime power: {q}")
-    if is_prime(q):
-        return q, 1
-    p = None
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            p = d
-            break
-        d += 1 if d == 2 else 2
-    if p is None:
-        raise BadParams(f"not a prime power: {q}")  # unreachable: q composite
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise BadParams(f"not a prime power: {q}")
-    return p, e
+    for e in range(1, q.bit_length() + 1):
+        r = _iroot(q, e)
+        if r ** e == q and is_prime(r):
+            return r, e
+    raise BadParams(f"not a prime power: {q}")
+
+
+def _iroot(x: int, e: int) -> int:
+    """Largest r with r**e <= x, for x >= 1, by integer Newton steps."""
+    r = 1 << -(-x.bit_length() // e)
+    while True:
+        t = ((e - 1) * r + x // r ** (e - 1)) // e
+        if t >= r:
+            return r
+        r = t
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -110,13 +112,9 @@ def prime_factors(n: int) -> tuple[int, ...]:
         d += 1 if d == 2 else 2
     if m > 1:
         # composite cofactors up to 10^12 would have a factor <= 10^6
-        if m > TRIAL_DIVISION_BOUND ** 2:
-            if not is_prime(m):
-                raise FactorizationIncomplete(
-                    f"cofactor {m} of {n} is composite but unfactored")
-            if m >= MR_DETERMINISTIC_BOUND:
-                raise FactorizationIncomplete(
-                    f"cofactor {m} of {n} is only a probable prime")
+        if m > TRIAL_DIVISION_BOUND ** 2 and not is_prime(m):
+            raise FactorizationIncomplete(
+                f"cofactor {m} of {n} is composite but unfactored")
         out.append(m)
     return tuple(out)
 
@@ -397,44 +395,22 @@ def mat_transpose(n: int, A) -> tuple[int, ...]:
     return tuple(A[j * n + i] for i in range(n) for j in range(n))
 
 
-def mat_rank(ctx: FieldCtx, n: int, A) -> int:
-    rows = [list(A[i * n:(i + 1) * n]) for i in range(n)]
-    return _echelon_rank(ctx, rows, n)
-
-
 def mat_inv(ctx: FieldCtx, n: int, A) -> tuple[int, ...]:
-    """Inverse via Gauss-Jordan on [A | I]; DivisionByZero if A is singular."""
-    rows = [list(A[i * n:(i + 1) * n]) + [1 if j == i else 0 for j in range(n)]
-            for i in range(n)]
-    if _echelon_rank(ctx, rows, n) < n:
+    """Inverse of A: the rows of [A | I] are brought to echelon form on the
+    columns of A and back-substituted; DivisionByZero if A is singular."""
+    ech = FqEchelon(ctx, n)
+    for i in range(n):
+        ech.insert(list(A[i * n:(i + 1) * n]) + [int(j == i) for j in range(n)])
+    if ech.dim < n:
         raise DivisionByZero("singular matrix has no inverse")
-    return tuple(rows[i][n + j] for i in range(n) for j in range(n))
-
-
-def _echelon_rank(ctx: FieldCtx, rows, width: int) -> int:
-    """Gauss-Jordan on the first width columns, in place; returns the rank."""
-    rank = 0
-    col = 0
-    while col < width and rank < len(rows):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv_p = ctx.inv(rows[rank][col])
-        rows[rank] = [ctx.mul(inv_p, v) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [ctx.sub(x, ctx.mul(f, y))
-                           for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    rows = [ech.pivots[j] for j in range(n)]
+    for j in reversed(range(n)):
+        for i in range(j):
+            f = rows[i][j]
+            if f:
+                rows[i] = [ctx.sub(x, ctx.mul(f, y))
+                           for x, y in zip(rows[i], rows[j])]
+    return tuple(v for row in rows for v in row[n:])
 
 
 class FqEchelon:
@@ -510,7 +486,8 @@ def _gl_codes(p: int, s: int, n: int, cap: int) -> tuple[tuple[int, ...], ...]:
         raise TooLarge(f"matrix size {n} above enumeration limit {MAX_ENUM_N}")
     out = []
     for entries in itertools.product(range(ctx.q), repeat=n * n):
-        if mat_rank(ctx, n, entries) == n:
+        rows = (entries[i * n:(i + 1) * n] for i in range(n))
+        if span_dimension(ctx, rows) == n:
             out.append(entries)
     assert len(out) == gl
     return tuple(out)

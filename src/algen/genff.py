@@ -10,6 +10,7 @@ D steps, where D is the free rank of the ambient algebra.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -284,16 +285,9 @@ def f2_generating_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """
     if n < 2 or n > 3:
         raise UnsupportedSize("pair table kept for n in {2, 3} only")
-    return tuple(f2_pairs(n, 0, 1 << (n * n)))
-
-
-def f2_pairs(n: int, lo: int, hi: int):
-    """Yield the generating pairs a < b of M_n(F_2) codes with lo <= a < hi."""
     q = 1 << (n * n)
-    for a in range(lo, hi):
-        for b in range(a + 1, q):
-            if _f2_generates(n, 1, ((a,), (b,))):
-                yield a, b
+    return tuple((a, b) for a in range(q) for b in range(a + 1, q)
+                 if _f2_generates(n, 1, ((a,), (b,))))
 
 
 @lru_cache(maxsize=4)
@@ -411,29 +405,49 @@ def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
 
 
 def _brute_single(k: int, n: int, ctx: FieldCtx, s: int, threads: int) -> int:
-    ext = _ext_field(ctx, s)
-    Q = ext.q ** (n * n)
-    if ctx.q == 2 and s == 1 and n in (2, 3) and k == 2:
-        return 2 * sharded_sum(_f2_pair_shard, (n,), 1 << (n * n), threads)[0]
-    shape = shape_over_field(ctx, [(n, s, 1)])
-    decode = _matrix_decoder(ext, n)
-    if k == 2:
-        # generation depends only on the set of entries
-        total = 0
-        mats = [decode(c) for c in range(Q)]
-        for a in range(Q):
-            if _generates_generic(shape, [(mats[a],)]):
-                total += 1
-            for b in range(a + 1, Q):
-                if _generates_generic(shape, [(mats[a],), (mats[b],)]):
-                    total += 2
-        return total
+    Q = _ext_field(ctx, s).q ** (n * n)
+    return sharded_sum(_entry_set_shard, (k, n, ctx.p, ctx.s, s), Q, threads)[0]
+
+
+def _entry_set_shard(args) -> tuple[int]:
+    """Weighted count of the generating sets of at most k distinct matrix
+    codes whose largest code lies in [lo, hi).
+
+    Generation depends only on the set of entries, so a set of j codes
+    stands for the j! * S(k, j) ordered k-tuples whose entries are exactly
+    that set.
+    """
+    k, n, p, e, s, lo, hi = args
+    decide = _code_decider(make_field(p, e), n, s)
+    weights = [_surjections(k, j) for j in range(k + 1)]
     total = 0
-    mats = [decode(c) for c in range(Q)]
-    for combo in itertools.product(range(Q), repeat=k):
-        if _generates_generic(shape, [(mats[c],) for c in combo]):
-            total += 1
-    return total
+    for b in range(lo, hi):
+        for j in range(min(k, b + 1)):
+            for rest in itertools.combinations(range(b), j):
+                if decide(rest + (b,)):
+                    total += weights[j + 1]
+    return (total,)
+
+
+def _surjections(k: int, j: int) -> int:
+    """Number of maps from k positions onto j entries: j! * S(k, j)."""
+    return sum((-1) ** i * math.comb(j, i) * (j - i) ** k for i in range(j + 1))
+
+
+def _code_decider(ctx: FieldCtx, n: int, s: int):
+    """Generation test for k-tuples of M_n(F_{q^s}) matrix codes over ctx.
+
+    Over F_2 with n <= 3 a matrix code is already its bit-packed code, so
+    the F_2 closure decides; otherwise the generic closure runs on
+    pre-decoded matrices.
+    """
+    if ctx.q == 2 and s == 1 and n <= 3:
+        return lambda codes: _f2_generates(n, 1, [(c,) for c in codes])
+    ext = _ext_field(ctx, s)
+    decode = _matrix_decoder(ext, n)
+    mats = [decode(c) for c in range(ext.q ** (n * n))]
+    shape = shape_over_field(ctx, [(n, s, 1)])
+    return lambda codes: _generates_generic(shape, [(mats[c],) for c in codes])
 
 
 def _matrix_decoder(ext: FieldCtx, n: int):
@@ -450,10 +464,6 @@ def _matrix_decoder(ext: FieldCtx, n: int):
     return decode
 
 
-def _f2_pair_shard(args) -> tuple[int]:
-    return (sum(1 for _ in f2_pairs(*args)),)
-
-
 def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
     """Count generating k-tuples of (M_n(F_{q^s}))^m by enumerating all
     m-tuples of coordinate k-tuples and applying the simple-factor test.
@@ -463,31 +473,22 @@ def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
     ext = _ext_field(ctx, s)
     Q = ext.q ** (n * n)
     decode = _matrix_decoder(ext, n)
-    shape = shape_over_field(ctx, [(n, s, 1)])
-    n_codes = Q ** k
-    flags = [False] * n_codes
-    keys: list = [None] * n_codes
+    decide = _code_decider(ctx, n, s)
     auts = _automorphisms(ctx, ext, n)
-    for code in range(n_codes):
-        tup = _decode_tuple(code, Q, k, decode)
-        if generates(shape, [(mat,) for mat in tup]):
-            flags[code] = True
-            keys[code] = _orbit_key(ctx, ext, n, tup, auts)
+    flags = []
+    keys = []
+    for codes in itertools.product(range(Q), repeat=k):
+        flag = decide(codes)
+        flags.append(flag)
+        keys.append(_orbit_key(ctx, ext, n, [decode(c) for c in codes], auts)
+                    if flag else None)
     total = 0
-    for combo in itertools.product(range(n_codes), repeat=m):
+    for combo in itertools.product(range(Q ** k), repeat=m):
         if all(flags[c] for c in combo):
             ks = [keys[c] for c in combo]
             if len(set(ks)) == m:
                 total += 1
     return total
-
-
-def _decode_tuple(code: int, Q: int, k: int, decode):
-    out = []
-    for _ in range(k):
-        out.append(decode(code % Q))
-        code //= Q
-    return tuple(out)
 
 
 def _automorphisms(ctx: FieldCtx, ext: FieldCtx, n: int):
@@ -621,7 +622,6 @@ def lower_bound(m: int, n: int, q: int) -> int:
 
 
 def _isqrt_ceil(v: int) -> int:
-    import math
     r = math.isqrt(v)
     return r if r * r == v else r + 1
 

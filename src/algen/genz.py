@@ -435,27 +435,16 @@ def m2f2_pair_orbits() -> list[list[tuple[int, int]]]:
     """Orbits of the 96 generating pairs of M_2(F_2) under simultaneous
     conjugation, each orbit sorted by row-major encoding."""
     ctx = ffalg.make_field(2)
-    gl = ffalg.gl_elements(ctx, 2)
-    pairs = set()
+    auts = genff._automorphisms(ctx, ctx, 2)
+    orbits: dict = {}
     for a, b in genff.f2_generating_pairs(2):
-        pairs.add((a, b))
-        pairs.add((b, a))
-    orbits = []
-    seen = set()
-    for pair in sorted(pairs, key=lambda ab: _entry_key(2, *ab)):
-        if pair in seen:
-            continue
-        orbit = set()
-        amat = _code_to_zmat(2, pair[0])
-        bmat = _code_to_zmat(2, pair[1])
-        for g in gl:
-            ginv = ffalg.mat_inv(ctx, 2, g)
-            ga = ffalg.mat_mul(ctx, 2, ffalg.mat_mul(ctx, 2, g, amat), ginv)
-            gb = ffalg.mat_mul(ctx, 2, ffalg.mat_mul(ctx, 2, g, bmat), ginv)
-            orbit.add((genff._f2_encode(ga), genff._f2_encode(gb)))
-        seen |= orbit
-        orbits.append(sorted(orbit, key=lambda ab: _entry_key(2, *ab)))
-    return orbits
+        for pair in ((a, b), (b, a)):
+            mats = [_code_to_zmat(2, c) for c in pair]
+            key = genff._orbit_key(ctx, ctx, 2, mats, auts)
+            orbits.setdefault(key, []).append(pair)
+    return sorted((sorted(orb, key=lambda ab: _entry_key(2, *ab))
+                   for orb in orbits.values()),
+                  key=lambda orb: _entry_key(2, *orb[0]))
 
 
 def construct_M2Z16():

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import algen
 from algen.cli import main
 
 
@@ -194,3 +198,70 @@ def test_checkgen_probable_prime_index_exits_3(capsys, tmp_path):
     path.write_text(json.dumps(tup))
     code, out = run_cli(capsys, "checkgen", "--input", str(path))
     assert code == 3 and out == ""
+
+
+def test_config_echoes_every_option(capsys, tmp_path):
+    polys = '[{"1": 1}]'
+    path = tmp_path / "t.json"
+    path.write_text('{"k": 1, "elements": [[{"n": 1, "entries": [1]}]]}')
+    cases = [
+        (["count", "--k", "2", "--n", "2", "--q", "3"],
+         {"k": 2, "m": 1, "mode": "formula", "n": 2, "q": 3, "s": 1,
+          "subcommand": "count", "threads": 1}),
+        (["density", "--kind", "zn", "--k", "3", "--n", "2"],
+         {"P": 100000, "eps": 1e-09, "k": 3, "kind": "zn", "n": 2, "s": 2,
+          "subcommand": "density"}),
+        (["mc", "--n", "2", "--k", "2", "--N", "5", "--samples", "3"],
+         {"N": 5, "k": 2, "m": 1, "n": 2, "samples": 3, "seed": 42,
+          "subcommand": "mc", "threads": 1}),
+        (["exhaustive", "--polys", polys, "--N", "2"],
+         {"N": 2, "polys": polys, "polys_file": None,
+          "subcommand": "exhaustive"}),
+        (["checkgen", "--input", str(path)],
+         {"blocks": [[1, 1]], "input": str(path), "subcommand": "checkgen"}),
+        (["construct", "--what", "twogen"],
+         {"n": 2, "q": 2, "s": 1, "subcommand": "construct", "what": "twogen"}),
+        (["census", "--n", "2"],
+         {"n": 2, "subcommand": "census", "threads": 1}),
+        (["thresholds", "--n", "2", "--m", "3"],
+         {"m": 3, "n": 2, "subcommand": "thresholds"}),
+        (["poly", "--family", "f", "--k", "2"],
+         {"eval": None, "family": "f", "k": 2, "mod_p": None,
+          "subcommand": "poly"}),
+    ]
+    for argv, config in cases:
+        assert run_json(capsys, *argv)["config"] == config, argv
+
+
+def test_config_big_integers_are_decimal_strings(capsys):
+    big = 2 ** 63 - 1
+    doc = run_json(capsys, "mc", "--n", "2", "--k", "2", "--N", str(big),
+                   "--samples", "5")
+    assert doc["config"]["N"] == str(big) and doc["config"]["samples"] == 5
+    doc = run_json(capsys, "poly", "--family", "f", "--k", "2",
+                   "--eval", str(-2 ** 53))
+    assert doc["config"]["eval"] == str(-2 ** 53)
+
+
+def _run_subprocess(*argv):
+    src = os.path.dirname(os.path.dirname(algen.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "algen.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=20)
+
+
+def test_count_non_prime_power_q_exits_2_promptly():
+    # (10^9 + 7)(10^9 + 9): trial division up to its square root would hang
+    res = _run_subprocess("count", "--k", "2", "--n", "2",
+                          "--q", str((10 ** 9 + 7) * (10 ** 9 + 9)),
+                          "--formula")
+    assert res.returncode == 2 and res.stdout == ""
+    assert "not a prime power" in res.stderr
+
+
+def test_count_probable_prime_q_exits_3():
+    # the least strong pseudoprime to the twelve bases is not a field size
+    res = _run_subprocess("count", "--k", "2", "--n", "2",
+                          "--q", "318665857834031151167461", "--formula")
+    assert res.returncode == 3 and res.stdout == ""
+    assert "probable prime" in res.stderr

@@ -99,7 +99,8 @@ def test_euler_product_matches_den_matrix():
             P, float(k - 1), 2.0)
         d = euler_product(spec)
         ref = den_matrix(2, k)
-        assert d.agrees_with(ref), k
+        assert abs(d.value - ref.value) <= (
+            d.abs_error_bound + ref.abs_error_bound), k
     assert d.abs_error_bound + ref.abs_error_bound < 1e-6
     d3 = euler_product(EulerProductSpec(
         lambda p: Fraction(g_closed_form(3, 2, p), p ** 12), 10 ** 5, 2.0, 2.0))

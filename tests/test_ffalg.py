@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from algen import ffalg
-from algen.errors import BadParams, DimensionMismatch, DivisionByZero, NonPrime, TooLarge
+from algen.errors import (
+    BadParams,
+    DimensionMismatch,
+    DivisionByZero,
+    FactorizationIncomplete,
+    NonPrime,
+    TooLarge,
+)
 from algen.ffalg import (
     are_conjugate_tuples,
     gl_elements,
@@ -239,3 +246,24 @@ def test_mat_inv_gl2_f4_and_gl3_f2():
             assert mat_mul(ctx, n, g, mat_inv(ctx, n, g)) == mat_identity(n)
     with pytest.raises(DivisionByZero):
         mat_inv(make_field(2, 2), 2, (1, 2, 1, 2))
+
+
+def test_prime_power_split_by_integer_roots():
+    for p, e in ((2, 1), (2, 6), (3, 4), (5, 4), (2 ** 61 - 1, 1),
+                 (2 ** 61 - 1, 2), (3, 40)):
+        assert ffalg.prime_power_split(p ** e) == (p, e)
+    # (10^9 + 7)(10^9 + 9): no trial division up to its square root
+    for q in (6, 12, 100, (10 ** 9 + 7) * (10 ** 9 + 9), 10 ** 1000 + 1):
+        with pytest.raises(BadParams):
+            ffalg.prime_power_split(q)
+
+
+def test_is_prime_refuses_probable_primes():
+    bound = ffalg.MR_DETERMINISTIC_BOUND
+    assert ffalg.is_prime(bound - 20)  # the largest prime below the bound
+    # composite verdicts stay certain past the bound
+    assert not ffalg.is_prime(3 * bound)
+    assert not ffalg.is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
+    for n in (bound, 2 ** 89 - 1, (2 ** 89 - 1) ** 2):
+        with pytest.raises(FactorizationIncomplete):
+            ffalg.prime_power_split(n)

@@ -13,7 +13,6 @@ from algen.genff import (
     count_field_type_subalgebras,
     count_gen_power_formula,
     f2_generating_pairs,
-    f2_pairs,
     g_closed_form,
     gen_count,
     generates,
@@ -381,9 +380,29 @@ def test_f2_generating_pairs_table():
     assert 2 * len(f2_generating_pairs(2)) == 96
 
 
-def test_f2_pairs_shards_join_to_the_table():
-    q = 1 << 9
-    bounds = [q * i // 4 for i in range(5)]
-    joined = tuple(pair for lo, hi in zip(bounds, bounds[1:])
-                   for pair in f2_pairs(3, lo, hi))
-    assert joined == f2_generating_pairs(3)
+def test_entry_set_shards_join_at_any_cut():
+    # (k, n, p, e, s): the F_2 closure, the generic closure over F_3, and
+    # sets of up to four entries of F_9 over F_3
+    rng = random.Random(5)
+    for args, want in (((3, 2, 2, 1, 1), 2688), ((2, 2, 3, 1, 1), 3888),
+                       ((4, 1, 3, 1, 2), 6480)):
+        Q = (args[2] ** (args[3] * args[4])) ** (args[1] ** 2)
+        for _ in range(3):
+            cuts = [0] + sorted(rng.randrange(Q + 1) for _ in range(4)) + [Q]
+            assert sum(genff._entry_set_shard((*args, lo, hi))[0]
+                       for lo, hi in zip(cuts, cuts[1:])) == want
+
+
+def test_brute_count_threads_agree():
+    for args, kw in (((2, 2, 2), {}), ((3, 2, 2), {}), ((2, 2, 3), {}),
+                     ((2, 1, 2), {"s": 3}), ((2, 2, 2), {"m": 2})):
+        one = brute_count(*args, threads=1, **kw).value
+        assert brute_count(*args, threads=2, **kw).value == one
+
+
+def test_brute_extension_field_oracle():
+    # M_1(F_{q^s}) over F_q: a k-tuple generates iff some entry lies
+    # outside F_q, so q^(sk) - q^k tuples generate; weights up to j = 4
+    assert brute_count(3, 1, 2, s=2).value == 56
+    assert brute_count(4, 1, 3, s=2).value == 6480
+    assert brute_count(3, 1, 2, s=3).value == 8 ** 3 - 2 ** 3
