@@ -405,89 +405,99 @@ def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
 
 
 def _brute_single(k: int, n: int, ctx: FieldCtx, s: int, threads: int) -> int:
-    Q = _ext_field(ctx, s).q ** (n * n)
-    return sharded_sum(_entry_set_shard, (k, n, ctx.p, ctx.s, s), Q, threads)[0]
+    total = _subspace_total(k, s * n * n - 1, ctx.q)
+    return sharded_sum(_subspace_shard, (k, n, ctx.p, ctx.s, s), total,
+                       threads)[0]
 
 
-def _entry_set_shard(args) -> tuple[int]:
-    """Weighted count of the generating sets of at most k distinct matrix
-    codes whose largest code lies in [lo, hi).
+def _pivot_blocks(k: int, d: int):
+    """RREF pivot sets of the subspaces of F_q^d of dimension at most k, in
+    sweep order, each with the (row, column) places of its free entries.
+    A pivot set with f free entries holds q^f subspaces.
+    """
+    for j in range(min(k, d) + 1):
+        for piv in itertools.combinations(range(d), j):
+            yield piv, [(r, c) for r in range(j)
+                        for c in range(piv[r] + 1, d) if c not in piv]
 
-    Generation depends only on the set of entries, so a set of j codes
-    stands for the j! * S(k, j) ordered k-tuples whose entries are exactly
-    that set.
+
+def _subspace_total(k: int, d: int, q: int) -> int:
+    return sum(q ** len(free) for _, free in _pivot_blocks(k, d))
+
+
+def _subspace_shard(args) -> tuple[int]:
+    """Weighted count of the generating subspaces W with flat rank in
+    [lo, hi).
+
+    The subalgebra generated by A_1..A_k depends only on span{1, A_i}.
+    Split A = F_q 1 + C, where C is the zero set of the coordinate at which
+    the identity is 1 (the constant part of the last diagonal entry), and
+    write A_i = c_i 1 + w_i.  The k-tuples whose w_i span a given W of
+    dimension j number q^k prod_{i<j} (q^k - q^i), so each W is decided
+    once, by a closure on its RREF basis.  The flat rank orders the pivot
+    sets as _pivot_blocks does, then the free entries as base-q digits.
     """
     k, n, p, e, s, lo, hi = args
-    decide = _code_decider(make_field(p, e), n, s)
-    weights = [_surjections(k, j) for j in range(k + 1)]
-    total = 0
-    for b in range(lo, hi):
-        for j in range(min(k, b + 1)):
-            for rest in itertools.combinations(range(b), j):
-                if decide(rest + (b,)):
-                    total += weights[j + 1]
+    ctx = make_field(p, e)
+    q = ctx.q
+    d = s * n * n - 1
+    c0 = (n * n - 1) * s
+    decide = _vector_decider(ctx, n, s)
+    weights = [q ** k * alpha(k, j, q) for j in range(min(k, d) + 1)]
+    total = start = 0
+    for piv, free in _pivot_blocks(k, d):
+        end = start + q ** len(free)
+        for x in range(max(lo, start) - start, min(hi, end) - start):
+            rows = [[int(c == pc) for c in range(d)] for pc in piv]
+            for r, c in free:
+                x, rows[r][c] = divmod(x, q)
+            for row in rows:
+                row.insert(c0, 0)
+            if decide(rows):
+                total += weights[len(piv)]
+        start = end
+        if start >= hi:
+            break
     return (total,)
 
 
-def _surjections(k: int, j: int) -> int:
-    """Number of maps from k positions onto j entries: j! * S(k, j)."""
-    return sum((-1) ** i * math.comb(j, i) * (j - i) ** k for i in range(j + 1))
+def _vector_decider(ctx: FieldCtx, n: int, s: int):
+    """Generation test for lists of base-field coordinate vectors (in
+    _element_coords order) of M_n(F_{q^s}) over ctx.
 
-
-def _code_decider(ctx: FieldCtx, n: int, s: int):
-    """Generation test for k-tuples of M_n(F_{q^s}) matrix codes over ctx.
-
-    Over F_2 with n <= 3 a matrix code is already its bit-packed code, so
-    the F_2 closure decides; otherwise the generic closure runs on
-    pre-decoded matrices.
+    Over F_2 with n <= 3 a vector's bits are the matrix code, so the F_2
+    closure decides; otherwise the generic closure runs on the matrices.
     """
     if ctx.q == 2 and s == 1 and n <= 3:
-        return lambda codes: _f2_generates(n, 1, [(c,) for c in codes])
-    ext = _ext_field(ctx, s)
-    decode = _matrix_decoder(ext, n)
-    mats = [decode(c) for c in range(ext.q ** (n * n))]
+        return lambda vecs: _f2_generates(n, 1, [(_f2_encode(v),) for v in vecs])
     shape = shape_over_field(ctx, [(n, s, 1)])
-    return lambda codes: _generates_generic(shape, [(mats[c],) for c in codes])
+    powers = [ctx.q ** t for t in range(s)]
 
+    def matrix(v):
+        return tuple(sum(c * w for c, w in zip(v[i:i + s], powers))
+                     for i in range(0, len(v), s))
 
-def _matrix_decoder(ext: FieldCtx, n: int):
-    qe = ext.q
-    nn = n * n
-
-    def decode(code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(nn):
-            out.append(code % qe)
-            code //= qe
-        return tuple(out)
-
-    return decode
+    return lambda vecs: _generates_generic(shape, [(matrix(v),) for v in vecs])
 
 
 def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
     """Count generating k-tuples of (M_n(F_{q^s}))^m by enumerating all
     m-tuples of coordinate k-tuples and applying the simple-factor test.
-    Per-coordinate generation flags and orbit keys are memoized; the outer
-    enumeration stays exhaustive.
+    Per-coordinate orbit keys (None for a coordinate tuple that does not
+    generate its factor) are memoized; the outer enumeration stays
+    exhaustive.
     """
     ext = _ext_field(ctx, s)
-    Q = ext.q ** (n * n)
-    decode = _matrix_decoder(ext, n)
-    decide = _code_decider(ctx, n, s)
+    shape = shape_over_field(ctx, [(n, s, 1)])
     auts = _automorphisms(ctx, ext, n)
-    flags = []
-    keys = []
-    for codes in itertools.product(range(Q), repeat=k):
-        flag = decide(codes)
-        flags.append(flag)
-        keys.append(_orbit_key(ctx, ext, n, [decode(c) for c in codes], auts)
-                    if flag else None)
+    mats = list(itertools.product(range(ext.q), repeat=n * n))
+    keys = [_orbit_key(ctx, ext, n, tup, auts)
+            if generates(shape, [(a,) for a in tup]) else None
+            for tup in itertools.product(mats, repeat=k)]
     total = 0
-    for combo in itertools.product(range(Q ** k), repeat=m):
-        if all(flags[c] for c in combo):
-            ks = [keys[c] for c in combo]
-            if len(set(ks)) == m:
-                total += 1
+    for combo in itertools.product(keys, repeat=m):
+        if None not in combo and len(set(combo)) == m:
+            total += 1
     return total
 
 

@@ -309,16 +309,6 @@ def det_commutator_test(A, B) -> bool:
     return N[0] * N[3] - N[1] * N[2] in (1, -1)
 
 
-def conj_invariant(X, Y) -> tuple[int, int, int, int, int]:
-    """(tr X, det X, tr Y, det Y, tr XY) for 2 x 2 integer matrices."""
-    if len(X) != 4 or len(Y) != 4:
-        raise UnsupportedSize("conjugation invariant is for 2x2 matrices")
-    XY = _mat2_mul(X, Y)
-    return (X[0] + X[3], X[0] * X[3] - X[1] * X[2],
-            Y[0] + Y[3], Y[0] * Y[3] - Y[1] * Y[2],
-            XY[0] + XY[3])
-
-
 # ---------------------------------------------------------------------------
 # Module generation of Z^n via Smith normal form
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -380,17 +381,97 @@ def test_f2_generating_pairs_table():
     assert 2 * len(f2_generating_pairs(2)) == 96
 
 
-def test_entry_set_shards_join_at_any_cut():
-    # (k, n, p, e, s): the F_2 closure, the generic closure over F_3, and
-    # sets of up to four entries of F_9 over F_3
+def _surjections(k, j):
+    """Number of maps from k positions onto j entries: j! * S(k, j)."""
+    return sum((-1) ** i * math.comb(j, i) * (j - i) ** k for i in range(j + 1))
+
+
+def _entry_set_count(k, n, q, s=1):
+    """Oracle: generation depends only on the set of entries, so decide
+    each set of at most k distinct matrices once and weight a set of j by
+    the j! * S(k, j) ordered k-tuples whose entries are exactly that set."""
+    ctx = make_field(*ffalg.prime_power_split(q))
+    ext = ctx if s == 1 else make_field(ctx.p, s)
+    shape = shape_over_field(ctx, [(n, s, 1)])
+    mats = list(itertools.product(range(ext.q), repeat=n * n))
+    return sum(_surjections(k, j)
+               for j in range(1, k + 1)
+               for subset in itertools.combinations(mats, j)
+               if generates(shape, [(a,) for a in subset]))
+
+
+def test_subspace_sweep_matches_entry_set_oracle():
+    for (k, n, q), s in (((2, 2, 2), 1), ((3, 2, 2), 1), ((2, 2, 3), 1),
+                         ((2, 2, 4), 1), ((2, 2, 2), 2), ((3, 1, 2), 2),
+                         ((4, 1, 3), 2)):
+        assert brute_count(k, n, q, s=s).value == _entry_set_count(k, n, q, s)
+
+
+def _subspace_shards(k, n, q, s, cuts):
+    p, e = ffalg.prime_power_split(q)
+    return [genff._subspace_shard((k, n, p, e, s, lo, hi))[0]
+            for lo, hi in zip(cuts, cuts[1:])]
+
+
+def test_subspace_shards_join_at_any_cut():
+    # (k, n, q, s): the F_2 closure, the generic closure over F_3, sets of
+    # up to four entries of F_9 over F_3, and M_2(F_4) over F_2
     rng = random.Random(5)
-    for args, want in (((3, 2, 2, 1, 1), 2688), ((2, 2, 3, 1, 1), 3888),
-                       ((4, 1, 3, 1, 2), 6480)):
-        Q = (args[2] ** (args[3] * args[4])) ** (args[1] ** 2)
-        for _ in range(3):
-            cuts = [0] + sorted(rng.randrange(Q + 1) for _ in range(4)) + [Q]
-            assert sum(genff._entry_set_shard((*args, lo, hi))[0]
-                       for lo, hi in zip(cuts, cuts[1:])) == want
+    for (k, n, q, s), want, rounds in (((3, 2, 2, 1), 2688, 3),
+                                       ((2, 2, 3, 1), 3888, 3),
+                                       ((4, 1, 3, 2), 6480, 3),
+                                       ((2, 2, 2, 2), 45120, 1)):
+        total = genff._subspace_total(k, s * n * n - 1, q)
+        for _ in range(rounds):
+            cuts = [0] + sorted(rng.randrange(total + 1) for _ in range(4)) + [total]
+            assert sum(_subspace_shards(k, n, q, s, cuts)) == want
+
+
+def test_subspace_shards_balanced(monkeypatch):
+    # 8 shards, as at --threads 2, each deciding its share of the subspaces
+    # of dimension <= 2 in F_2^7 (generic closure) and F_2^8 (F_2 closure)
+    calls = 0
+    for name in ("_generates_generic", "_f2_generates"):
+        closure = getattr(genff, name)
+
+        def counted(*args, closure=closure):
+            nonlocal calls
+            calls += 1
+            return closure(*args)
+
+        monkeypatch.setattr(genff, name, counted)
+    for (k, n, q, s), want, total in (((2, 2, 2, 2), 45120, 2795),
+                                      ((2, 3, 2, 1), 129024, 11051)):
+        assert genff._subspace_total(k, s * n * n - 1, q) == total
+        cuts = [total * i // 8 for i in range(9)]
+        values, decided = [], []
+        for lo, hi in zip(cuts, cuts[1:]):
+            before = calls
+            values += _subspace_shards(k, n, q, s, [lo, hi])
+            decided.append(calls - before)
+        assert sum(values) == want
+        assert sum(decided) == total
+        assert max(decided) <= 1.25 * total / 8
+
+
+def _gaussian_binomial(d, j, q):
+    num = den = 1
+    for i in range(j):
+        num *= q ** (d - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def test_subspace_weights_partition_all_tuples(monkeypatch):
+    # with a predicate that is always true every k-tuple is counted once
+    monkeypatch.setattr(genff, "_generates_generic", lambda shape, t: True)
+    monkeypatch.setattr(genff, "_f2_generates", lambda n, m, codes: True)
+    for k, n, q, s in ((2, 2, 2, 1), (3, 2, 2, 1), (2, 2, 3, 1), (2, 2, 4, 1),
+                       (2, 2, 2, 2), (2, 1, 2, 3), (4, 1, 3, 2)):
+        D = s * n * n
+        by_dimension = sum(_gaussian_binomial(D - 1, j, q) * q ** k * alpha(k, j, q)
+                           for j in range(min(k, D - 1) + 1))
+        assert brute_count(k, n, q, s=s).value == q ** (k * D) == by_dimension
 
 
 def test_brute_count_threads_agree():

