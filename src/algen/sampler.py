@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import genz
+from . import genff, genz
 from .errors import BadParams, TooLarge
+from .ffalg import is_prime, make_field
 from .genff import AlgebraShape, enum_cap
 from .parutil import sharded_sum
 
@@ -104,10 +103,12 @@ def sample_tuple(shape: AlgebraShape, k: int, box: BoxModel, index: int = 0):
 
 def _mc_shard(args) -> tuple[int]:
     shape, k, box, lo, hi = args
+    shape2 = genff.shape_over_field(make_field(2), shape.blocks)
     hits = 0
     for i in range(lo, hi):
         t = sample_tuple(shape, k, box, i)
-        if genz.generates_Z_bool(shape, t):
+        t2 = [[[v & 1 for v in mat] for mat in elem] for elem in t]
+        if genff.generates(shape2, t2) and genz.generates_Z_bool(shape, t):
             hits += 1
     return (hits,)
 
@@ -118,8 +119,12 @@ def mc_density(shape: AlgebraShape, k: int, box: BoxModel,
 
     A sample counts as a hit when genz.generates_Z_bool says it
     generates; only the verdict is needed, so no HNF is taken and no
-    index is factored.
+    index is factored.  A tuple that generates over Z also generates its
+    reduction mod 2, so samples whose reduction fails the F_2 closure are
+    rejected before the Z-closure; no verdict changes.
     """
+    if k < 1:
+        raise BadParams(f"tuple length k must be positive, got {k}")
     if box.samples < 1:
         raise BadParams("need at least one sample")
     trials = box.samples
@@ -172,6 +177,8 @@ def _value_bound(terms, N: int) -> int:
 def _eval_last_axis(terms, fixed, xs, p: int | None = None):
     """Evaluate at (fixed..., xs) with numpy Horner over the last variable;
     with a modulus p every step is reduced mod p."""
+    import numpy as np
+
     by_deg: dict[int, int] = {}
     for exps, c in terms:
         scalar = c
@@ -210,6 +217,8 @@ def exhaustive_poly_density(polys, N: int, cap: int | None = None) -> Fraction:
     for terms in system:
         if _value_bound(terms, N) >= 2 ** 62:
             return _exhaustive_bigint(system, nvars, N, total)
+    import numpy as np
+
     xs = np.arange(-N, N + 1, dtype=np.int64)
     count = 0
     for fixed in itertools.product(range(-N, N + 1), repeat=nvars - 1):
@@ -243,8 +252,6 @@ def _exhaustive_bigint(system, nvars, N, total) -> Fraction:
 def local_zero_count(polys, p: int, n: int | None = None,
                      cap: int | None = None) -> int:
     """Number of common zeros of the system in F_p^n, by enumeration."""
-    from .ffalg import is_prime
-
     if not is_prime(p):
         raise BadParams(f"p = {p} is not prime")
     system, nvars = _normalize_system(polys)
@@ -254,6 +261,8 @@ def local_zero_count(polys, p: int, n: int | None = None,
         cap = enum_cap()
     if p ** nvars > cap:
         raise TooLarge(f"{p ** nvars} points exceed enumeration cap {cap}")
+    import numpy as np
+
     xs = np.arange(p, dtype=np.int64)
     count = 0
     for fixed in itertools.product(range(p), repeat=nvars - 1):

@@ -169,6 +169,10 @@ def test_bad_inputs_exit_2(capsys, monkeypatch):
     code, _ = run_cli(capsys, "mc", "--n", "2", "--k", "2",
                       "--N", str(2 ** 63), "--samples", "5")
     assert code == 2  # 2N+1 draws would exceed 2^64
+    for k in ("0", "-1"):
+        code, out = run_cli(capsys, "mc", "--n", "3", "--k", k, "--N", "5",
+                            "--samples", "10")
+        assert code == 2 and out == ""  # a tuple needs an element
     code, _ = run_cli(capsys, "exhaustive", "--polys",
                       '[{"1,0": 1}, {"0,1": 1}]', "--N", "-1")
     assert code == 2
@@ -176,7 +180,6 @@ def test_bad_inputs_exit_2(capsys, monkeypatch):
     code, _ = run_cli(capsys, "count", "--k", "2", "--n", "2", "--q", "2",
                       "--brute")
     assert code == 2
-
 
 
 def test_non_finite_eps_exits_2(capsys):
@@ -265,3 +268,20 @@ def test_count_probable_prime_q_exits_3():
                           "--q", "318665857834031151167461", "--formula")
     assert res.returncode == 3 and res.stdout == ""
     assert "probable prime" in res.stderr
+
+
+def test_numpy_is_imported_only_by_the_grid_commands():
+    src = os.path.dirname(os.path.dirname(algen.__file__))
+    code = (
+        "import sys, algen.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "algen.cli.main(['mc', '--n', '2', '--k', '2', '--N', '5',"
+        " '--samples', '20'])\n"
+        "assert 'numpy' not in sys.modules\n"
+        "algen.cli.main(['exhaustive', '--polys', '[{\"1,0\": 1}]',"
+        " '--N', '2'])\n"
+        "assert 'numpy' in sys.modules\n")
+    res = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=20)
+    assert res.returncode == 0, res.stderr

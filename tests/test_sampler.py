@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from algen import genff, genz
 from algen.errors import BadParams, TooLarge
+from algen.ffalg import make_field
 from algen.genff import shape_over_Z
 from algen.sampler import (
     BoxModel,
@@ -17,6 +19,13 @@ from algen.sampler import (
 )
 
 SHAPE2 = shape_over_Z([(2, 1)])
+
+# (shape, k, box): seeded slices of M_3, M_2^3 and M_2
+SCREEN_SLICES = [
+    (shape_over_Z([(3, 1)]), 2, BoxModel(200, 1, 300)),
+    (shape_over_Z([(2, 3)]), 2, BoxModel(50, 1, 100)),
+    (shape_over_Z([(2, 1)]), 3, BoxModel(50, 1, 300)),
+]
 
 X1 = {(1, 0): 1}
 X2 = {(0, 1): 1}
@@ -63,6 +72,25 @@ def test_mc_density_threads_deterministic():
     a = mc_density(SHAPE2, 2, box, threads=1)
     b = mc_density(SHAPE2, 2, box, threads=3)
     assert a == b
+    shape, k, box = SCREEN_SLICES[0]
+    assert mc_density(shape, k, box, threads=2) == mc_density(shape, k, box)
+
+
+@pytest.mark.parametrize("shape, k, box", SCREEN_SLICES)
+def test_mc_screen_matches_unscreened_oracle(shape, k, box):
+    # hits equal the unscreened Z-decision, and every sample the mod-2
+    # screen rejects has a closure index that is 0 or even
+    shape2 = genff.shape_over_field(make_field(2), shape.blocks)
+    hits = rejected = 0
+    for i in range(box.samples):
+        t = sample_tuple(shape, k, box, i)
+        hits += genz.generates_Z_bool(shape, t)
+        if not genff.generates(shape2, [[[v % 2 for v in mat] for mat in elem]
+                                        for elem in t]):
+            rejected += 1
+            assert genz.closure_lattice(shape, t).index % 2 == 0, i
+    assert mc_density(shape, k, box).hits == hits
+    assert 0 < rejected < box.samples
 
 
 def test_exhaustive_single_variable():
