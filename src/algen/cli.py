@@ -148,12 +148,16 @@ def _cmd_count(args, config: dict) -> int:
 
 
 def _cmd_density(args, config: dict) -> int:
+    eps = args.eps
+    if eps is None:
+        eps = density.ZETA_EPS if args.kind == "zeta" else density.PRODUCT_EPS
+    config["eps"] = eps
     if args.kind == "zeta":
-        dv = density.zeta_value(args.s, args.eps)
+        dv = density.zeta_value(args.s, eps)
     elif args.kind == "zn":
-        dv = density.den_Zn(args.k, args.n)
+        dv = density.den_Zn(args.k, args.n, eps)
     elif args.kind == "matrix":
-        dv = density.den_matrix(args.n, args.k, args.P)
+        dv = density.den_matrix(args.n, args.k, args.P, eps)
     else:
         raise ValidationError(f"unknown density kind {args.kind}")
     _emit(config, _density_payload(dv))
@@ -313,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--k", type=int, default=3)
     d.add_argument("--n", type=int, default=2)
     d.add_argument("--P", type=int, default=10 ** 5)
-    d.add_argument("--eps", type=float, default=1e-9)
+    d.add_argument("--eps", type=float,
+                   help="accuracy of each zeta value (default 1e-9 for zeta, "
+                        "1e-10 for zn and matrix)")
     d.set_defaults(fn=_cmd_density)
 
     m = sub.add_parser("mc", help="Monte-Carlo density of generating tuples")

@@ -44,6 +44,12 @@ def test_density_matrix(capsys):
     assert abs(doc["value"] - 0.5057390380239776) < 1e-9
     assert doc["method"] == "exact-zeta"
     assert doc["error_bound"] > 0
+    # --eps reaches the zeta factors, and the config echoes the eps used
+    coarse = run_json(capsys, "density", "--kind", "matrix", "--n", "2",
+                      "--k", "3", "--eps", "0.001")
+    assert coarse["config"]["eps"] == 0.001 and doc["config"]["eps"] == 1e-10
+    assert 1e-4 < coarse["error_bound"] < 2e-3
+    assert abs(coarse["value"] - doc["value"]) <= coarse["error_bound"]
 
 
 def test_poly(capsys):
@@ -183,10 +189,16 @@ def test_bad_inputs_exit_2(capsys, monkeypatch):
 
 
 def test_non_finite_eps_exits_2(capsys):
-    for eps in ("nan", "inf", "-inf"):
-        code, out = run_cli(capsys, "density", "--kind", "zeta", "--s", "2",
-                            f"--eps={eps}")
-        assert code == 2 and out == ""
+    # zn at k = n and matrix at n = k = 2 are exactly 0 and need no zeta
+    # value, so 1e-30 (too small for zeta(2)) is refused by the others only
+    kinds = [(["--kind", "zeta", "--s", "2"], True),
+             (["--kind", "zn", "--k", "3"], True),
+             (["--kind", "zn", "--k", "2", "--n", "2"], False),
+             (["--kind", "matrix", "--n", "2", "--k", "2"], False)]
+    for kind, needs_zeta in kinds:
+        for eps in ("nan", "inf", "-inf", "0") + ("1e-30",) * needs_zeta:
+            code, out = run_cli(capsys, "density", *kind, f"--eps={eps}")
+            assert code == 2 and out == "", (kind, eps)
 
 
 def test_checkgen_probable_prime_index_exits_3(capsys, tmp_path):
@@ -212,7 +224,10 @@ def test_config_echoes_every_option(capsys, tmp_path):
          {"k": 2, "m": 1, "mode": "formula", "n": 2, "q": 3, "s": 1,
           "subcommand": "count", "threads": 1}),
         (["density", "--kind", "zn", "--k", "3", "--n", "2"],
-         {"P": 100000, "eps": 1e-09, "k": 3, "kind": "zn", "n": 2, "s": 2,
+         {"P": 100000, "eps": 1e-10, "k": 3, "kind": "zn", "n": 2, "s": 2,
+          "subcommand": "density"}),
+        (["density", "--kind", "zeta"],
+         {"P": 100000, "eps": 1e-09, "k": 3, "kind": "zeta", "n": 2, "s": 2,
           "subcommand": "density"}),
         (["mc", "--n", "2", "--k", "2", "--N", "5", "--samples", "3"],
          {"N": 5, "k": 2, "m": 1, "n": 2, "samples": 3, "seed": 42,

@@ -1,11 +1,15 @@
+import functools
 import math
 import os
 import subprocess
 import sys
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from algen import density
+from algen.cli import main
 from algen.density import (
     EulerProductSpec,
     den_matrix,
@@ -40,6 +44,108 @@ def test_zeta_validation():
         zeta_value(2, 0.0)
     with pytest.raises(BadParams):
         zeta_value(2, 1e-30)  # would need too many terms
+
+
+@functools.cache
+def _zeta_partial_sum(s, eps):
+    """The approximant summed term by term in 30-digit Decimals: the oracle
+    for the Euler-Maclaurin evaluation in density._zeta_decimal."""
+    with localcontext(Context(prec=30)):
+        M = max(4, math.ceil(eps ** (-1.0 / s)) + 1)
+        total = Decimal(0)
+        for n in range(1, M + 1):
+            total += Decimal(1) / Decimal(n) ** s
+        hi = Decimal(M) ** (1 - s) / (s - 1)
+        lo = Decimal(M + 1) ** (1 - s) / (s - 1)
+        return total + (hi + lo) / 2, (hi - lo) / 2
+
+
+# s = 2..6 at three accuracies and zeta(2) at 1e-12; M = 31, 32, 33 around
+# the Euler-Maclaurin head; s from 50 to 150 around the s >= 100 shortcut
+ZETA_GRID = ([(s, eps) for s in range(2, 7) for eps in (1e-6, 1e-9, 1e-10)]
+             + [(2, 1e-12)] + [(2, (M - 1.5) ** -2) for M in (31, 32, 33)]
+             + [(s, 1e-9) for s in (50, 97, 98, 99, 100, 101, 150)])
+
+
+def test_zeta_matches_partial_sum_oracle():
+    for s, eps in ZETA_GRID:
+        value, err = density._zeta_decimal(s, eps)
+        want, want_err = _zeta_partial_sum(s, eps)
+        assert float(value) == float(want) and float(err) == float(want_err), (
+            s, eps)
+        assert abs(value - want) <= Decimal("1e-26"), (s, eps)
+        M = max(4, math.ceil(eps ** (-1.0 / s)) + 1)
+        if M < 100:  # the approximant summed exactly, rounded once
+            A = sum(Fraction(1, n ** s) for n in range(1, M + 1)) + (
+                Fraction(1, M ** (s - 1))
+                + Fraction(1, (M + 1) ** (s - 1))) / (2 * (s - 1))
+            with localcontext(Context(prec=30)):
+                assert value == Decimal(A.numerator) / A.denominator, (s, eps)
+    assert density._zeta_decimal(100, 1e-9)[0] == 1
+    # the value rounds to 1 and the bound underflows to 0, however large s is
+    for s in (5 * 10 ** 6, 10 ** 400):
+        z = zeta_value(s, 1e-9)
+        assert (z.value, z.abs_error_bound) == (1.0, 1e-15)
+
+
+def test_zeta_within_its_bound_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for s, eps in ZETA_GRID:
+            value, err = density._zeta_decimal(s, eps)
+            exact = Fraction(str(mpmath.zeta(s)))  # within 1e-49
+            # the approximant is within err; rounding it moved it by < 1e-29
+            assert abs(Fraction(value) - exact) <= Fraction(err) + Fraction(
+                1, 10 ** 29), (s, eps)
+            assert err <= eps
+
+
+def test_euler_maclaurin_tails_against_hurwitz_zeta():
+    # every s the exact route takes, from the smallest tail start a = 32
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        for s in range(2, 100):
+            for a in (32, 10 ** 7 + 1):
+                got = density._em_tail(s, a)
+                want = Fraction(str(mpmath.zeta(s, a)))
+                assert abs(got - want) < Fraction(1, 10 ** 50), (s, a)
+
+
+def test_densities_unchanged_under_partial_sum_oracle(monkeypatch):
+    cases = ([functools.partial(den_Zn, k, n)
+              for n in range(2, 8) for k in range(n, 8)]
+             + [functools.partial(den_matrix, 2, k) for k in range(2, 8)]
+             + [functools.partial(den_matrix, 3, k, 10 ** 4) for k in (2, 3, 4)])
+
+    def run():
+        return [(d.value, d.abs_error_bound) for d in (f() for f in cases)]
+
+    fast = run()
+    monkeypatch.setattr(density, "_zeta_decimal", _zeta_partial_sum)
+    assert run() == fast
+
+
+def test_zeta_term_cap():
+    # M = ceil(eps^(-1/2)) + 1 is 10^7 for the first eps, 10^7 + 1 after
+    ok, over = (10 ** 7 - 1.5) ** -2, (10 ** 7 - 0.5) ** -2
+    assert math.ceil(ok ** -0.5) + 1 == 10 ** 7
+    assert math.ceil(over ** -0.5) + 1 == 10 ** 7 + 1
+    z = zeta_value(2, ok)
+    assert abs(z.value - math.pi ** 2 / 6) <= z.abs_error_bound <= ok + 1e-15
+    with pytest.raises(BadParams):
+        zeta_value(2, over)
+    assert main(["density", "--kind", "zeta", "--s", "2",
+                 "--eps", repr(over)]) == 2
+
+
+def test_rounding_slack_refuses_what_it_cannot_cover():
+    at_max_sieve = 2 * 5761455 + 1000  # 2 per prime below 10^8, and more
+    d = density._certified(Decimal(1), Decimal(1), at_max_sieve, None, "m")
+    assert (d.value, d.abs_error_bound) == (1.0, 1.0 + 1e-15)
+    with pytest.raises(BadParams):
+        density._certified(Decimal(1), Decimal(0), 10 ** 29, None, "m")
+    with pytest.raises(BadParams):  # 2^-52 of 5 is more than 1e-15
+        density._certified(Decimal(4), Decimal(1), 1, None, "m")
 
 
 def test_sieve():
@@ -140,8 +246,10 @@ def test_import_leaves_decimal_precision_alone():
 
     src = os.path.dirname(os.path.dirname(algen.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    # nor builds the Bernoulli table, which waits for the first zeta value
     out = subprocess.run(
         [sys.executable, "-c",
-         "import decimal, algen; print(decimal.getcontext().prec)"],
+         "import decimal, algen.cli; print(decimal.getcontext().prec, "
+         "algen.density._em_coefficients.cache_info().currsize)"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "28"
+    assert out.split() == ["28", "0"]
