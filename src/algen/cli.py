@@ -30,9 +30,12 @@ def _enc_int(v: int):
 
 
 def _dec_int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise InvalidJSON(f"expected an integer, got {v!r}")
-    return int(v)
+    if not isinstance(v, bool) and isinstance(v, (int, str)):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise InvalidJSON(f"expected an integer, got {v!r}")
 
 
 def _enc_float(v: float) -> float:
@@ -51,7 +54,7 @@ def encode_matrix(n: int, entries, ctx: ffalg.FieldCtx | None = None) -> dict:
 
 def decode_matrix(obj) -> tuple[int, tuple[int, ...]]:
     try:
-        n = int(obj["n"])
+        n = _dec_int(obj["n"])
         entries = tuple(_dec_int(e) for e in obj["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidJSON(f"bad matrix object: {exc}") from exc
@@ -77,7 +80,7 @@ def decode_tuple_Z(obj):
     generation) and equal sizes merged into one block multiplicity.
     """
     try:
-        k = int(obj["k"])
+        k = _dec_int(obj["k"])
         elements = obj["elements"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidJSON(f"bad tuple object: {exc}") from exc
@@ -85,6 +88,8 @@ def decode_tuple_Z(obj):
         raise InvalidJSON("elements must be a list of length k")
     if k == 0:
         raise InvalidJSON("checkgen needs the shape; supply at least one element")
+    if not all(isinstance(elem, list) for elem in elements):
+        raise InvalidJSON("each element must be a list of matrix objects")
     decoded = [[decode_matrix(m) for m in elem] for elem in elements]
     sizes = [n for n, _e in decoded[0]]
     for elem in decoded:
@@ -100,6 +105,20 @@ def decode_tuple_Z(obj):
     shape = genff.shape_over_Z([(n, m) for n, m in blocks])
     t = tuple(tuple(elem[i][1] for i in order) for elem in decoded)
     return shape, t
+
+
+def _read_json(path: str | None, text: str | None, what: str):
+    """Parse the JSON in the file at path, or else in text; an unreadable
+    file or malformed JSON is a validation error."""
+    try:
+        if path:
+            with open(path) as fh:
+                text = fh.read()
+        return json.loads(text)
+    except OSError as exc:
+        raise InvalidJSON(f"cannot read the {what} file: {exc}") from exc
+    except ValueError as exc:
+        raise InvalidJSON(f"bad {what} JSON: {exc}") from exc
 
 
 def _emit(config: dict, payload: dict) -> None:
@@ -179,17 +198,9 @@ def _cmd_mc(args, config: dict) -> int:
 
 
 def _load_polys(args):
-    if args.polys_file:
-        with open(args.polys_file) as fh:
-            raw = fh.read()
-    else:
-        raw = args.polys
-    if raw is None:
+    if not args.polys_file and args.polys is None:
         raise ValidationError("need --polys or --polys-file")
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InvalidJSON(f"bad polynomial JSON: {exc}") from exc
+    data = _read_json(args.polys_file, args.polys, "polynomial")
     if not isinstance(data, list):
         raise InvalidJSON("polynomial input must be a list of term maps")
     out = []
@@ -218,16 +229,9 @@ def _cmd_exhaustive(args, config: dict) -> int:
 
 
 def _cmd_checkgen(args, config: dict) -> int:
-    if args.input:
-        with open(args.input) as fh:
-            raw = fh.read()
-    else:
-        raw = sys.stdin.read()
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InvalidJSON(f"bad tuple JSON: {exc}") from exc
-    if "tuple" in obj:
+    obj = _read_json(args.input, None if args.input else sys.stdin.read(),
+                     "tuple")
+    if isinstance(obj, dict) and "tuple" in obj:
         obj = obj["tuple"]
     shape, t = decode_tuple_Z(obj)
     config["blocks"] = [[n, m] for n, _s, m in shape.blocks]
@@ -250,7 +254,7 @@ def _cmd_construct(args, config: dict) -> int:
     if args.what == "twogen":
         ext, A, B = genff.two_generators_ext(args.n, args.q, args.s)
         _emit(config, {
-            "field": {"p": ext.p, "s": ext.s, "q": _enc_int(ext.q),
+            "field": {"p": _enc_int(ext.p), "s": ext.s, "q": _enc_int(ext.q),
                       "modulus": list(ext.modulus) if ext.modulus else None},
             "generators": [encode_matrix(args.n, A, ext),
                            encode_matrix(args.n, B, ext)],

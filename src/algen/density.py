@@ -241,6 +241,13 @@ def _product_with_errors(pairs) -> tuple[Decimal, Decimal]:
 # Specific densities
 # ---------------------------------------------------------------------------
 
+def _inverse_zetas(ms, eps: float):
+    """(value, error) pairs of zeta(m)^-1 for m in ms, and their rounding
+    count (each zeta value's own and _FACTOR_OPS for using it)."""
+    pairs = [_inv_with_error(*_zeta_decimal(m, eps)) for m in ms]
+    return pairs, sum(_zeta_ops(m) + _FACTOR_OPS for m in ms)
+
+
 @_at_working_precision
 def den_Zn(k: int, n: int, eps: float = PRODUCT_EPS) -> DensityValue:
     """Density of k-tuples generating the module Z^n:
@@ -251,10 +258,8 @@ def den_Zn(k: int, n: int, eps: float = PRODUCT_EPS) -> DensityValue:
         raise BadParams("need k >= n >= 1")
     if k == n:
         return DensityValue(0.0, 0.0, None, EXACT_ZETA)
-    ms = range(k - n + 1, k + 1)
-    value, err = _product_with_errors(
-        [_inv_with_error(*_zeta_decimal(m, eps)) for m in ms])
-    ops = sum(_zeta_ops(m) + _FACTOR_OPS for m in ms)
+    pairs, ops = _inverse_zetas(range(k - n + 1, k + 1), eps)
+    value, err = _product_with_errors(pairs)
     return _certified(value, err, ops, None, EXACT_ZETA)
 
 
@@ -263,30 +268,21 @@ def den_matrix(n: int, k: int, P: int = 10 ** 5,
                eps: float = PRODUCT_EPS) -> DensityValue:
     """Density of k-tuples generating M_n(Z), n in {2, 3}.
 
-    n = 2: 1/(zeta(k-1) zeta(k)), exactly 0 at k = 2.
+    n = 2: 1/(zeta(k-1) zeta(k)), the module density den_Zn(k, 2), exactly
+           0 at k = 2.
     n = 3: 1/(zeta(2k-2) zeta(k)) * prod_{p<=P} (1 + phi_k(p)/p^(3k-2)),
            with the tail certified from |phi_k(x)| <= (sum |coeffs|) x^deg.
     """
     _check_eps(eps)
-    if n == 2:
-        if k < 2:
-            raise BadParams("need k >= 2")
-        if k == 2:
-            return DensityValue(0.0, 0.0, None, EXACT_ZETA)
-        z1, e1 = _zeta_decimal(k - 1, eps)
-        z2, e2 = _zeta_decimal(k, eps)
-        value, err = _product_with_errors(
-            [_inv_with_error(z1, e1), _inv_with_error(z2, e2)])
-        ops = _zeta_ops(k - 1) + _zeta_ops(k) + 2 * _FACTOR_OPS
-        return _certified(value, err, ops, None, EXACT_ZETA)
-    if n != 3:
+    if n not in (2, 3):
         raise BadParams("matrix densities cover n in {2, 3}")
     if k < 2:
         raise BadParams("need k >= 2")
+    if n == 2:
+        return den_Zn(k, 2, eps)
     phi = phi_poly(k)
     exp = 3 * k - 2
-    z1, e1 = _zeta_decimal(2 * k - 2, eps)
-    z2, e2 = _zeta_decimal(k, eps)
+    pairs, ops = _inverse_zetas((2 * k - 2, k), eps)
     primes = sieve_primes(P)
     prod = Decimal(1)
     for p in primes:
@@ -299,12 +295,10 @@ def den_matrix(n: int, k: int, P: int = 10 ** 5,
     if C * Decimal(P) ** (-e) > Decimal("0.5"):
         raise BadParams(f"prime bound {P} too small to certify the tail")
     tail_log = 2 * C * Decimal(P) ** (1 - e) / (e - 1)
-    pairs = [_inv_with_error(z1, e1), _inv_with_error(z2, e2),
-             (prod, prod * (tail_log.exp() - 1))]
+    pairs.append((prod, prod * (tail_log.exp() - 1)))
     value, err = _product_with_errors(pairs)
     # a division and a product per prime; the tail's power and 5 more
-    ops = (2 * len(primes) + _zeta_ops(2 * k - 2) + _zeta_ops(k)
-           + 3 * _FACTOR_OPS + _power_ops(1 - e) + 5)
+    ops += 2 * len(primes) + _FACTOR_OPS + _power_ops(1 - e) + 5
     return _certified(value, err, ops, P, EULER_TRUNCATION)
 
 

@@ -276,9 +276,6 @@ class FieldCtx:
             mult *= p
         return out
 
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
-
     def mul(self, a: int, b: int) -> int:
         if self.s == 1:
             return a * b % self.p
@@ -328,9 +325,18 @@ class FieldCtx:
                     break
         self._inv_table = inv
 
-    def elements_in_canonical_order(self) -> list[int]:
-        """All element codes sorted by coefficient vector, low degree first."""
-        return sorted(range(self.q), key=self.coeffs)
+    def elements_in_canonical_order(self):
+        """All element codes sorted by coefficient vector, low degree first,
+        as a lazy iterator."""
+        return map(self.from_coeffs, _coefficient_vectors(self.p, self.s, 0))
+
+
+def _coefficient_vectors(p: int, s: int, start: int):
+    """Yield the coefficient vectors (c_0, ..., c_{s-1}) over F_p in
+    lexicographic order, from the start-th on: the base-p digits of the
+    indices, most significant first."""
+    for x in range(start, p ** s):
+        yield [x // p ** (s - 1 - i) % p for i in range(s)]
 
 
 @lru_cache(maxsize=None)
@@ -342,15 +348,12 @@ def make_field(p: int, s: int = 1) -> FieldCtx:
         raise BadDegree(f"extension degree must be >= 1, got {s}")
     if s == 1:
         return FieldCtx(p, 1, None)
-    for low in itertools.product(range(p), repeat=s):
-        f = list(low) + [1]
+    # a candidate with constant term 0 is divisible by x: start at c_0 = 1
+    for low in _coefficient_vectors(p, s, p ** (s - 1)):
+        f = low + [1]
         if gfp_is_irreducible(f, p):
             return FieldCtx(p, s, tuple(f))
     raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-def inv(ctx: FieldCtx, a: int) -> int:
-    return ctx.inv(a)
 
 
 def multiplicative_generator(ctx: FieldCtx) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -343,7 +344,7 @@ def f2_pair_classes(n: int, lo: int, hi: int):
 # ---------------------------------------------------------------------------
 
 def generates_power(ctx: FieldCtx, n: int, s: int, m: int,
-                    coordinate_tuples, cap: int = ffalg.CONJUGACY_CAP) -> bool:
+                    coordinate_tuples) -> bool:
     """Does a k-tuple of elements of M_n(F_{q^s})^m generate over F_q?
 
     coordinate_tuples holds the m coordinate k-tuples.  The tuple
@@ -363,7 +364,7 @@ def generates_power(ctx: FieldCtx, n: int, s: int, m: int,
             if ffalg.are_conjugate_tuples(ext, coordinate_tuples[i],
                                           coordinate_tuples[j],
                                           include_galois=True,
-                                          base_q=ctx.q, cap=cap):
+                                          base_q=ctx.q):
                 return False
     return True
 
@@ -382,7 +383,7 @@ def _ext_field(ctx: FieldCtx, s: int) -> FieldCtx:
 # ---------------------------------------------------------------------------
 
 def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
-                cap: int | None = None, threads: int = 1) -> CountReport:
+                threads: int = 1) -> CountReport:
     """Exact count of generating k-tuples of (M_n(F_{q^s}))^m over F_q,
     by exhaustive enumeration.
     """
@@ -390,8 +391,7 @@ def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
         raise BadParams("k, n, s, m must be positive")
     if n > ffalg.MAX_ENUM_N:
         raise TooLarge(f"matrix size {n} above enumeration limit")
-    if cap is None:
-        cap = enum_cap()
+    cap = enum_cap()
     p, e = ffalg.prime_power_split(q)
     states = q ** (s * n * n * k * m)
     if states > cap:
@@ -463,42 +463,40 @@ def _subspace_shard(args) -> tuple[int]:
 
 def _vector_decider(ctx: FieldCtx, n: int, s: int):
     """Generation test for lists of base-field coordinate vectors (in
-    _element_coords order) of M_n(F_{q^s}) over ctx.
-
-    Over F_2 with n <= 3 a vector's bits are the matrix code, so the F_2
-    closure decides; otherwise the generic closure runs on the matrices.
-    """
-    if ctx.q == 2 and s == 1 and n <= 3:
-        return lambda vecs: _f2_generates(n, 1, [(_f2_encode(v),) for v in vecs])
+    _element_coords order) of M_n(F_{q^s}) over ctx: the vectors are
+    folded back into matrices and handed to generates()."""
     shape = shape_over_field(ctx, [(n, s, 1)])
+    if s == 1:
+        return lambda vecs: generates(shape, [(v,) for v in vecs])
     powers = [ctx.q ** t for t in range(s)]
 
     def matrix(v):
         return tuple(sum(c * w for c, w in zip(v[i:i + s], powers))
                      for i in range(0, len(v), s))
 
-    return lambda vecs: _generates_generic(shape, [(matrix(v),) for v in vecs])
+    return lambda vecs: generates(shape, [(matrix(v),) for v in vecs])
 
 
 def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
-    """Count generating k-tuples of (M_n(F_{q^s}))^m by enumerating all
-    m-tuples of coordinate k-tuples and applying the simple-factor test.
-    Per-coordinate orbit keys (None for a coordinate tuple that does not
-    generate its factor) are memoized; the outer enumeration stays
-    exhaustive.
+    """Count generating k-tuples of (M_n(F_{q^s}))^m by the simple-factor
+    test: the m coordinate k-tuples must each generate M_n(F_{q^s}) and lie
+    in pairwise distinct automorphism orbits.  Every coordinate k-tuple is
+    decided and keyed by its orbit once; with orbit sizes c_1, c_2, ...,
+    the m-tuples of pairwise distinct orbits number m! e_m(c_1, c_2, ...).
     """
     ext = _ext_field(ctx, s)
     shape = shape_over_field(ctx, [(n, s, 1)])
     auts = _automorphisms(ctx, ext, n)
     mats = list(itertools.product(range(ext.q), repeat=n * n))
-    keys = [_orbit_key(ctx, ext, n, tup, auts)
-            if generates(shape, [(a,) for a in tup]) else None
-            for tup in itertools.product(mats, repeat=k)]
-    total = 0
-    for combo in itertools.product(keys, repeat=m):
-        if None not in combo and len(set(combo)) == m:
-            total += 1
-    return total
+    sizes = Counter(_orbit_key(ctx, ext, n, tup, auts)
+                    for tup in itertools.product(mats, repeat=k)
+                    if generates(shape, [(a,) for a in tup]))
+    # e[j]: elementary symmetric sum of degree j of the orbit sizes so far
+    e = [1] + [0] * m
+    for c in sizes.values():
+        for j in range(m, 0, -1):
+            e[j] += e[j - 1] * c
+    return math.factorial(m) * e[m]
 
 
 def _automorphisms(ctx: FieldCtx, ext: FieldCtx, n: int):
@@ -651,7 +649,7 @@ def two_generators_ext(n: int, q: int, s: int = 1):
         raise BadParams("n must be >= 1")
     p, e = ffalg.prime_power_split(q)
     ctx = make_field(p, e)
-    ext = _ext_field(ctx, s) if s > 1 else ctx
+    ext = _ext_field(ctx, s)
     u = ffalg.multiplicative_generator(ext)
     A = [0] * (n * n)
     A[0] = u

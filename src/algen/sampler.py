@@ -200,7 +200,7 @@ def _eval_last_axis(terms, fixed, xs, p: int | None = None):
     return acc
 
 
-def exhaustive_poly_density(polys, N: int, cap: int | None = None) -> Fraction:
+def exhaustive_poly_density(polys, N: int) -> Fraction:
     """Exact fraction of points x in [-N, N]^n where the values
     f_1(x), ..., f_s(x) generate the unit ideal of Z, i.e. their gcd is 1.
 
@@ -209,8 +209,7 @@ def exhaustive_poly_density(polys, N: int, cap: int | None = None) -> Fraction:
     if N < 0:
         raise BadParams(f"half-width must be >= 0, got {N}")
     system, nvars = _normalize_system(polys)
-    if cap is None:
-        cap = enum_cap()
+    cap = enum_cap()
     total = (2 * N + 1) ** nvars
     if total > cap:
         raise TooLarge(f"{total} grid points exceed enumeration cap {cap}")
@@ -249,16 +248,14 @@ def _exhaustive_bigint(system, nvars, N, total) -> Fraction:
     return Fraction(count, total)
 
 
-def local_zero_count(polys, p: int, n: int | None = None,
-                     cap: int | None = None) -> int:
+def local_zero_count(polys, p: int, n: int | None = None) -> int:
     """Number of common zeros of the system in F_p^n, by enumeration."""
     if not is_prime(p):
         raise BadParams(f"p = {p} is not prime")
     system, nvars = _normalize_system(polys)
     if n is not None and n != nvars:
         raise BadParams(f"system has {nvars} variables, not {n}")
-    if cap is None:
-        cap = enum_cap()
+    cap = enum_cap()
     if p ** nvars > cap:
         raise TooLarge(f"{p ** nvars} points exceed enumeration cap {cap}")
     import numpy as np

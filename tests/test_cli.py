@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -171,7 +172,7 @@ def test_mc_huge_half_width_decides_without_factoring(capsys):
     assert doc["estimate_exact"] == "0/1" and doc["trials"] == 50
 
 
-def test_bad_inputs_exit_2(capsys, monkeypatch):
+def test_bad_inputs_exit_2(capsys, monkeypatch, tmp_path):
     code, _ = run_cli(capsys, "mc", "--n", "2", "--k", "2",
                       "--N", str(2 ** 63), "--samples", "5")
     assert code == 2  # 2N+1 draws would exceed 2^64
@@ -186,6 +187,20 @@ def test_bad_inputs_exit_2(capsys, monkeypatch):
     code, _ = run_cli(capsys, "count", "--k", "2", "--n", "2", "--q", "2",
                       "--brute")
     assert code == 2
+    # unreadable files and entries that are not integers
+    missing = str(tmp_path / "missing.json")
+    for argv in (["exhaustive", "--polys", '[{"1": "abc"}]', "--N", "2"],
+                 ["exhaustive", "--polys-file", missing, "--N", "2"],
+                 ["exhaustive", "--polys-file", str(tmp_path), "--N", "2"],
+                 ["checkgen", "--input", missing]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+    # checkgen on stdin: JSON that is not a tuple object, and n = true
+    for text in ("5", "null", '"tuple"', '{"k": 1, "elements": [5]}',
+                 '{"k": 1, "elements": [[{"n": true, "entries": [1]}]]}'):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out = run_cli(capsys, "checkgen")
+        assert code == 2 and out == "", text
 
 
 def test_non_finite_eps_exits_2(capsys):
@@ -283,6 +298,28 @@ def test_count_probable_prime_q_exits_3():
                           "--q", "318665857834031151167461", "--formula")
     assert res.returncode == 3 and res.stdout == ""
     assert "probable prime" in res.stderr
+
+
+def test_construct_twogen_over_a_huge_prime_field(capsys):
+    # the field's elements are scanned lazily for a primitive root
+    doc = run_json(capsys, "construct", "--what", "twogen", "--n", "2",
+                   "--q", str(2 ** 61 - 1))
+    assert doc["field"] == {"p": str(2 ** 61 - 1), "s": 1,
+                            "q": str(2 ** 61 - 1), "modulus": None}
+    assert doc["generators"][1] == {"n": 2, "entries": [0, 1, 1, 0]}
+
+
+def test_count_brute_power_from_orbit_sizes(monkeypatch):
+    # 256^16 m-tuples of coordinate pairs of M_2(F_2): counted from the
+    # sizes of the 16 orbits of generating pairs, never enumerated
+    monkeypatch.setenv("ALGEN_ENUM_CAP", str(2 ** 128))
+    res = _run_subprocess("count", "--k", "2", "--n", "2", "--q", "2",
+                          "--m", "16", "--verify")
+    assert res.returncode == 0, res.stderr
+    prod = 1
+    for i in range(16):
+        prod *= 96 - 6 * i
+    assert json.loads(res.stdout)["value"] == str(prod)
 
 
 def test_numpy_is_imported_only_by_the_grid_commands():

@@ -17,7 +17,6 @@ from algen.ffalg import (
     are_conjugate_tuples,
     gl_elements,
     group_orders,
-    inv,
     make_field,
     mat_identity,
     mat_inv,
@@ -61,6 +60,54 @@ def test_modulus_irreducible_exhaustive(p, s):
                 pytest.fail(f"modulus has factor {den}")
 
 
+def _first_irreducible_full_scan(p, s):
+    """Oracle: the modulus search before it skipped constant term 0."""
+    for low in itertools.product(range(p), repeat=s):
+        if ffalg.gfp_is_irreducible(list(low) + [1], p):
+            return tuple(low) + (1,)
+
+
+def test_make_field_modulus_matches_full_scan():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        s = 2
+        while p ** s <= 600:
+            assert make_field(p, s).modulus == _first_irreducible_full_scan(p, s)
+            s += 1
+
+
+def test_make_field_skips_constant_term_zero(monkeypatch):
+    # each candidate with f(0) = 0 is divisible by x; F_{1009^3} and
+    # F_{65537^2} are found after a handful of irreducibility tests
+    tested = []
+    real = ffalg.gfp_is_irreducible
+
+    def counted(f, p):
+        tested.append(f)
+        assert len(tested) <= 50, "scanned past constant term 0"
+        return real(f, p)
+
+    monkeypatch.setattr(ffalg, "gfp_is_irreducible", counted)
+    for p, s in ((1009, 3), (65537, 2)):
+        tested.clear()
+        ctx = ffalg.make_field.__wrapped__(p, s)
+        assert ctx.modulus[0] != 0 and ctx.q == p ** s
+
+
+def test_elements_in_canonical_order_is_lazy_and_sorted():
+    for q in range(2, 513):
+        try:
+            p, s = ffalg.prime_power_split(q)
+        except BadParams:
+            continue
+        ctx = make_field(p, s)
+        assert (list(ctx.elements_in_canonical_order())
+                == sorted(range(q), key=ctx.coeffs))
+    big = make_field(2 ** 61 - 1)
+    codes = big.elements_in_canonical_order()
+    assert iter(codes) is codes
+    assert list(itertools.islice(codes, 3)) == [0, 1, 2]
+
+
 def test_make_field_errors():
     with pytest.raises(NonPrime):
         make_field(6)
@@ -70,12 +117,12 @@ def test_make_field_errors():
 
 def test_inv_examples():
     f5 = make_field(5)
-    assert inv(f5, 2) == 3
+    assert f5.inv(2) == 3
     f4 = make_field(2, 2)
     u = 2
-    assert inv(f4, u) == 3  # u * (u+1) = 1
+    assert f4.inv(u) == 3  # u * (u+1) = 1
     with pytest.raises(DivisionByZero):
-        inv(f4, 0)
+        f4.inv(0)
 
 
 @pytest.mark.parametrize("p,s", [(5, 1), (2, 2), (3, 2), (2, 3)])
@@ -141,7 +188,7 @@ def _count_invertible_2x2(q: int) -> int:
         det = (a * d - b * c) % q
         return int(np.count_nonzero(det))
     mul = np.array([[ctx.mul(x, y) for y in range(q)] for x in range(q)])
-    neg = np.array([ctx.neg(x) for x in range(q)])
+    neg = np.array([ctx.sub(0, x) for x in range(q)])
     add = np.array([[ctx.add(x, y) for y in range(q)] for x in range(q)])
     a, b, c, d = np.meshgrid(*([np.arange(q)] * 4), indexing="ij")
     det = add[mul[a, d], neg[mul[b, c]]]
@@ -267,3 +314,13 @@ def test_is_prime_refuses_probable_primes():
     for n in (bound, 2 ** 89 - 1, (2 ** 89 - 1) ** 2):
         with pytest.raises(FactorizationIncomplete):
             ffalg.prime_power_split(n)
+
+
+def test_prime_factors_against_sympy_factorint():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    cases = list(range(1, 500)) + [2 ** 61 - 1, 2 * 999983 ** 2,
+                                   2 * 3 * 5 * 7 * 11 * 13 * (10 ** 9 + 7)]
+    cases += [rng.randrange(1, 10 ** 12) for _ in range(200)]
+    for n in cases:
+        assert ffalg.prime_factors(n) == tuple(sorted(sympy.factorint(n))), n

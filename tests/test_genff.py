@@ -481,6 +481,30 @@ def test_brute_count_threads_agree():
         assert brute_count(*args, threads=2, **kw).value == one
 
 
+def _distinct_orbit_loop(k, n, q, s, m):
+    """Oracle: run the simple-factor test over every m-tuple of coordinate
+    k-tuples, with one orbit key (None: not generating) per k-tuple."""
+    ctx = make_field(*ffalg.prime_power_split(q))
+    ext = ctx if s == 1 else make_field(ctx.p, s)
+    shape = shape_over_field(ctx, [(n, s, 1)])
+    auts = genff._automorphisms(ctx, ext, n)
+    mats = list(itertools.product(range(ext.q), repeat=n * n))
+    keys = [genff._orbit_key(ctx, ext, n, tup, auts)
+            if generates(shape, [(a,) for a in tup]) else None
+            for tup in itertools.product(mats, repeat=k)]
+    return sum(1 for combo in itertools.product(keys, repeat=m)
+               if None not in combo and len(set(combo)) == m)
+
+
+def test_brute_power_matches_loop_oracle():
+    # (k, n, q, s, m): M_2(F_2)^2, F_4^3 and F_8^2 over F_2, F_3^4
+    for args, want in (((2, 2, 2, 1, 2), 8640), ((3, 1, 2, 2, 3), 157248),
+                       ((1, 1, 2, 3, 2), 18), ((2, 1, 3, 1, 4), 3024)):
+        k, n, q, s, m = args
+        assert brute_count(k, n, q, s=s, m=m).value == want
+        assert _distinct_orbit_loop(*args) == want
+
+
 def test_brute_extension_field_oracle():
     # M_1(F_{q^s}) over F_q: a k-tuple generates iff some entry lies
     # outside F_q, so q^(sk) - q^k tuples generate; weights up to j = 4

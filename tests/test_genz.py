@@ -518,3 +518,55 @@ def test_generates_Z_bool_matches_certificate():
         assert verdict == generates_Z(SHAPE3, t).generates
         hits += verdict
     assert 0 < hits < 200
+
+
+def _random_integer_matrices(seed, count):
+    """Seeded integer matrices of 1..5 rows and columns, some of them
+    rank-deficient (a row repeated as a multiple of another)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:
+            rows[-1] = [3 * x for x in rows[0]]
+        yield rows
+
+
+def _in_lattice(sympy, basis_cols, vec) -> bool:
+    """Is vec an integer combination of the independent columns?"""
+    try:
+        x, params = basis_cols.gauss_jordan_solve(sympy.Matrix(vec))
+    except ValueError:
+        return False
+    assert params.shape[0] == 0
+    return all(v.is_integer for v in x)
+
+
+def test_hnf_against_sympy_hermite_normal_form():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    for rows in _random_integer_matrices(31, 60):
+        ours = hnf(rows)
+        if not any(any(r) for r in rows):
+            assert ours.rank == 0
+            continue
+        # sympy spans the columns of its form by those of its input
+        theirs = hermite_normal_form(sympy.Matrix(rows).T)
+        assert ours.rank == theirs.shape[1]
+        assert all(_in_lattice(sympy, theirs, b) for b in ours.basis)
+        ours_cols = sympy.Matrix(ours.basis).T
+        assert all(_in_lattice(sympy, ours_cols, list(theirs.col(j)))
+                   for j in range(theirs.shape[1]))
+        if ours.rank == ours.D:
+            assert ours.index == abs(theirs.det())
+
+
+def test_smith_invariant_factors_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    for rows in _random_integer_matrices(37, 60):
+        snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+        diag = [abs(snf[i, i]) for i in range(min(snf.shape))]
+        assert smith_invariant_factors(rows) == tuple(d for d in diag if d)
