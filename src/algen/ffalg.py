@@ -21,8 +21,8 @@ from .errors import (
     TooLarge,
 )
 
-# Brute-force conjugacy sweeps are refused above this group order unless
-# the caller raises the cap explicitly.
+# Sweeps over GL_n are refused above this group order unless the caller
+# raises the cap explicitly.
 CONJUGACY_CAP = 10_000
 
 # Enumeration entry points never accept matrices larger than this.
@@ -433,6 +433,7 @@ class FqEchelon:
     def insert(self, vec) -> bool:
         """Reduce vec against the basis; insert the remainder. True if new."""
         ctx = self.ctx
+        p = ctx.p if ctx.s == 1 else 0
         v = list(vec)
         for j in range(self.width):
             a = v[j]
@@ -441,9 +442,13 @@ class FqEchelon:
             row = self.pivots.get(j)
             if row is None:
                 inv_a = ctx.inv(a)
-                self.pivots[j] = [ctx.mul(inv_a, x) for x in v]
+                self.pivots[j] = ([inv_a * x % p for x in v] if p
+                                  else [ctx.mul(inv_a, x) for x in v])
                 return True
-            v = [ctx.sub(x, ctx.mul(a, y)) for x, y in zip(v, row)]
+            if p:
+                v = [(x - a * y) % p for x, y in zip(v, row)]
+            else:
+                v = [ctx.sub(x, ctx.mul(a, y)) for x, y in zip(v, row)]
         return False
 
 
@@ -463,7 +468,7 @@ def span_dimension(ctx: FieldCtx, vectors) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Group orders and brute-force conjugacy
+# Group orders, GL_n and the Frobenius
 # ---------------------------------------------------------------------------
 
 def group_orders(n: int, q: int) -> tuple[int, int]:
@@ -504,50 +509,6 @@ def gl_elements(ctx: FieldCtx, n: int, cap: int = CONJUGACY_CAP):
 def frobenius_mat(ctx: FieldCtx, n: int, A, base_q: int) -> tuple[int, ...]:
     """Apply x -> x^base_q to every entry."""
     return tuple(ctx.pow(a, base_q) for a in A)
-
-
-def are_conjugate_tuples(ctx: FieldCtx, t1, t2, include_galois: bool = False,
-                         base_q: int | None = None,
-                         cap: int = CONJUGACY_CAP) -> bool:
-    """True iff some g in GL_n (optionally composed with a Frobenius power
-    over the base field of size base_q) maps t1 coordinatewise to t2.
-
-    Uses g*a == b*g to avoid inverses.  base_q defaults to p, giving the
-    full automorphism group over the prime field.
-    """
-    if len(t1) != len(t2):
-        raise DimensionMismatch("tuples of different length")
-    if not t1:
-        return True
-    sz = len(t1[0])
-    n = 1
-    while n * n < sz:
-        n += 1
-    if n * n != sz or any(len(a) != sz for a in itertools.chain(t1, t2)):
-        raise DimensionMismatch("entries are not square matrices of equal size")
-
-    if base_q is None:
-        base_q = ctx.p
-    if include_galois and ctx.s > 1:
-        # Galois twists of t1: powers of the Frobenius x -> x^base_q.
-        twists = []
-        tw = tuple(t1)
-        for _ in range(_galois_order(ctx, base_q)):
-            twists.append(tw)
-            tw = tuple(frobenius_mat(ctx, n, a, base_q) for a in tw)
-    else:
-        twists = [tuple(t1)]
-
-    for g in gl_elements(ctx, n, cap):
-        for tw in twists:
-            ok = True
-            for a, b in zip(tw, t2):
-                if mat_mul(ctx, n, g, a) != mat_mul(ctx, n, b, g):
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
 
 
 def _galois_order(ctx: FieldCtx, base_q: int) -> int:

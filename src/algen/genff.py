@@ -30,9 +30,12 @@ def enum_cap() -> int:
     if not v:
         return DEFAULT_ENUM_CAP
     try:
-        return int(v)
+        cap = int(v)
     except ValueError:
         raise BadParams(f"ALGEN_ENUM_CAP is not an integer: {v!r}") from None
+    if cap < 1:
+        raise BadParams(f"ALGEN_ENUM_CAP must be positive: {v!r}")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +84,6 @@ class AlgebraShape:
             out.extend([n] * m)
         return out
 
-    def slot_fields(self) -> list[FieldCtx]:
-        """Field context for each slot (F_q-side shapes only)."""
-        if self.ctx is None:
-            raise ShapeMismatch("Z-side shape has no field contexts")
-        out = []
-        for n, s, m in self.blocks:
-            fctx = self.ctx if s == 1 else make_field(self.ctx.p, s)
-            out.extend([fctx] * m)
-        return out
-
 
 def shape_over_field(ctx: FieldCtx, blocks) -> AlgebraShape:
     return AlgebraShape(tuple(tuple(b) for b in blocks), ctx)
@@ -114,14 +107,35 @@ class CountReport:
 
 # ---------------------------------------------------------------------------
 # The closure test: does a tuple generate the whole algebra?
+#
+# An element is a coordinate vector over the base ring: its matrices slot
+# by slot, row-major, each entry of an extension block split into its s
+# coefficients over F_p.  Left multiplication by a generator is a sparse
+# linear operator on these vectors, and the generated subalgebra is the
+# span of the orbit of 1 under these operators: a subspace over F_p, a
+# lattice over Z.
 # ---------------------------------------------------------------------------
 
-def _identity_element(shape: AlgebraShape):
-    return tuple(ffalg.mat_identity(n) for n in shape.slot_sizes())
+def _check_tuple(shape: AlgebraShape, t) -> tuple:
+    """t as a tuple of elements, each a tuple of integer matrices that match
+    the shape's slots; ShapeMismatch otherwise."""
+    sizes = shape.slot_sizes()
+    out = []
+    for elem in t:
+        if len(elem) != len(sizes):
+            raise ShapeMismatch("element does not match shape slots")
+        mats = []
+        for mat, n in zip(elem, sizes):
+            mat = tuple(map(int, mat))
+            if len(mat) != n * n:
+                raise ShapeMismatch("matrix size does not match shape")
+            mats.append(mat)
+        out.append(tuple(mats))
+    return tuple(out)
 
 
 def _element_coords(shape: AlgebraShape, elem) -> list[int]:
-    """Base-field coordinate vector of an element (length shape.rank)."""
+    """Base-ring coordinate vector of an element (length shape.rank)."""
     coords = []
     idx = 0
     for n, s, m in shape.blocks:
@@ -137,9 +151,85 @@ def _element_coords(shape: AlgebraShape, elem) -> list[int]:
     return coords
 
 
-def _element_mul(shape: AlgebraShape, fields, sizes, a, b):
-    return tuple(mat_mul(fields[i], sizes[i], a[i], b[i])
-                 for i in range(len(sizes)))
+def _scalar_coords(shape: AlgebraShape, c: int = 1) -> list[int]:
+    """Coordinates of c times the identity, c an element code of every
+    slot's field (1, or x = p in extension blocks)."""
+    return _element_coords(shape, [tuple(c * v for v in ffalg.mat_identity(n))
+                                   for n in shape.slot_sizes()])
+
+
+def left_mul_ops(shape: AlgebraShape, coords) -> list[list[tuple[int, int]]]:
+    """Sparse rows of v -> g v on coordinate vectors, g the element with the
+    given coordinates: one list of (source, coefficient) pairs per product
+    coordinate.  In an extension block an entry a acts on the s coordinates
+    of an entry as the F_p matrix of x -> a x (_mul_action).
+    """
+    ops = []
+    off = 0
+    for n, s, m in shape.blocks:
+        ext = None if s == 1 else make_field(shape.ctx.p, s)
+        size = n * n * s
+        for _ in range(m):
+            g = coords[off:off + size]
+            if ext is None:
+                acts = [((a,),) for a in g]
+            else:
+                acts = [_mul_action(ext, ext.from_coeffs(g[i:i + s]))
+                        for i in range(0, size, s)]
+            # (g v)[r, c] = sum_i g[r, i] v[i, c]
+            rows = [[] for _ in range(size)]
+            for r in range(n):
+                for i in range(n):
+                    for v, act in enumerate(acts[r * n + i]):
+                        for u, a in enumerate(act):
+                            if a:
+                                for c in range(n):
+                                    rows[(r * n + c) * s + v].append(
+                                        (off + (i * n + c) * s + u, a))
+            ops.extend(rows)
+            off += size
+    return ops
+
+
+@lru_cache(maxsize=4096)
+def _mul_action(ext: FieldCtx, a: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the F_p matrix of x -> a x on coefficient vectors."""
+    cols = [ext.coeffs(ext.mul(a, ext.p ** u)) for u in range(ext.s)]
+    return tuple(tuple(col[v] for col in cols) for v in range(ext.s))
+
+
+def _closure(add, index, modulus: int, seed, ops) -> None:
+    """Grow a span from seed by the operators until it is closed or all.
+
+    add(v) puts v in the span and says whether the span grew; index() is 0
+    below full rank and the index of the span at full rank, 1 meaning all
+    of it.  Products are reduced mod the modulus unless it is 0.  Over F_p
+    it is p throughout; over Z it is 0 until full rank and then the index
+    d of the lattice, which contains d Z^D.
+    """
+    add(seed)
+    full = index()
+    if full == 1:
+        return
+    modulus = full or modulus
+    work = [seed]
+    while work:
+        v = work.pop()
+        for op in ops:
+            w = []
+            for row in op:
+                acc = 0
+                for t, c in row:
+                    acc += c * v[t]
+                w.append(acc)
+            if modulus:
+                w = [x % modulus for x in w]
+            if add(w):
+                full = index()
+                if full == 1:
+                    return
+                modulus = full or modulus
+                work.append(w)
 
 
 def generates(shape: AlgebraShape, t) -> bool:
@@ -150,40 +240,41 @@ def generates(shape: AlgebraShape, t) -> bool:
     """
     if shape.ctx is None:
         raise ShapeMismatch("use genz.generates_Z for Z-side shapes")
-    sizes = shape.slot_sizes()
-    for elem in t:
-        if len(elem) != len(sizes):
-            raise ShapeMismatch("element does not match shape slots")
-        for mat, n in zip(elem, sizes):
-            if len(mat) != n * n:
-                raise ShapeMismatch("matrix size does not match shape")
-    if (shape.ctx.q == 2 and len(shape.blocks) == 1
-            and shape.blocks[0][1] == 1 and shape.blocks[0][0] <= 3):
-        n = shape.blocks[0][0]
-        m = shape.blocks[0][2]
-        codes = [tuple(_f2_encode(mat) for mat in elem) for elem in t]
-        return _f2_generates(n, m, codes)
-    return _generates_generic(shape, t)
+    return _decide(shape, [_element_coords(shape, elem)
+                           for elem in _check_tuple(shape, t)])
 
 
-def _generates_generic(shape: AlgebraShape, t) -> bool:
+def _decide(shape: AlgebraShape, vecs) -> bool:
+    """Generation test for coordinate vectors over an F_q shape.
+
+    A single M_n(F_2)^m block with n <= 3 goes to the bit-packed closure.
+    A base field F_q = F_p[x] with q = p^e, e > 1, is recoded over F_p:
+    the F_q-span of the monomials in t is the F_p-span of the monomials in
+    t and the central x 1, and each block (n, 1, m) becomes (n, e, m).
+    """
     ctx = shape.ctx
-    sizes = shape.slot_sizes()
-    fields = shape.slot_fields()
+    n, s, m = shape.blocks[0]
+    if ctx.q == 2 and len(shape.blocks) == 1 and s == 1 and n <= 3:
+        nn = n * n
+        mask = (1 << nn) - 1
+        return _f2_generates(n, m, [
+            tuple(code >> (i * nn) & mask for i in range(m))
+            for code in map(_f2_encode, vecs)])
+    if ctx.s > 1:
+        blocks = [(n, ctx.s, m) for n, _s, m in shape.blocks]
+        shape = shape_over_field(make_field(ctx.p), blocks)
+        vecs = [[c for a in v for c in ctx.coeffs(a)] for v in vecs]
+        vecs.append(_scalar_coords(shape, ctx.p))
+    return _generates_generic(shape, vecs)
+
+
+def _generates_generic(shape: AlgebraShape, vecs) -> bool:
+    """Closure over a prime field of the elements with coordinates vecs."""
+    ctx = shape.ctx
     D = shape.rank
     ech = FqEchelon(ctx, D)
-    one = _identity_element(shape)
-    ech.insert(_element_coords(shape, one))
-    gens = [tuple(tuple(mat) for mat in elem) for elem in t]
-    work = [one]
-    while work and ech.dim < D:
-        v = work.pop()
-        for g in gens:
-            w = _element_mul(shape, fields, sizes, g, v)
-            if ech.insert(_element_coords(shape, w)):
-                if ech.dim == D:
-                    return True
-                work.append(w)
+    _closure(ech.insert, lambda: int(ech.dim == D), ctx.p,
+             _scalar_coords(shape), [left_mul_ops(shape, v) for v in vecs])
     return ech.dim == D
 
 
@@ -350,7 +441,7 @@ def generates_power(ctx: FieldCtx, n: int, s: int, m: int,
     coordinate_tuples holds the m coordinate k-tuples.  The tuple
     generates iff every coordinate tuple generates the simple factor and
     no two coordinate tuples are related by an algebra automorphism
-    (conjugation composed with a Galois twist).
+    (conjugation composed with a Galois twist): their orbit keys differ.
     """
     if m < 1 or len(coordinate_tuples) != m:
         raise BadParams("need exactly m coordinate tuples")
@@ -359,14 +450,11 @@ def generates_power(ctx: FieldCtx, n: int, s: int, m: int,
     for tup in coordinate_tuples:
         if not generates(shape, [(mat,) for mat in tup]):
             return False
-    for i in range(m):
-        for j in range(i + 1, m):
-            if ffalg.are_conjugate_tuples(ext, coordinate_tuples[i],
-                                          coordinate_tuples[j],
-                                          include_galois=True,
-                                          base_q=ctx.q):
-                return False
-    return True
+    if m == 1:
+        return True
+    auts = _automorphisms(ctx, ext, n)
+    keys = {_orbit_key(ctx, ext, n, tup, auts) for tup in coordinate_tuples}
+    return len(keys) == m
 
 
 def _ext_field(ctx: FieldCtx, s: int) -> FieldCtx:
@@ -393,7 +481,8 @@ def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
         raise TooLarge(f"matrix size {n} above enumeration limit")
     cap = enum_cap()
     p, e = ffalg.prime_power_split(q)
-    states = q ** (s * n * n * k * m)
+    # a power count (m > 1) runs over the same coordinate k-tuples
+    states = q ** (s * n * n * k)
     if states > cap:
         raise TooLarge(f"{states} states exceed enumeration cap {cap}")
     ctx = make_field(p, e)
@@ -442,7 +531,7 @@ def _subspace_shard(args) -> tuple[int]:
     q = ctx.q
     d = s * n * n - 1
     c0 = (n * n - 1) * s
-    decide = _vector_decider(ctx, n, s)
+    shape = shape_over_field(ctx, [(n, s, 1)])
     weights = [q ** k * alpha(k, j, q) for j in range(min(k, d) + 1)]
     total = start = 0
     for piv, free in _pivot_blocks(k, d):
@@ -453,28 +542,12 @@ def _subspace_shard(args) -> tuple[int]:
                 x, rows[r][c] = divmod(x, q)
             for row in rows:
                 row.insert(c0, 0)
-            if decide(rows):
+            if _decide(shape, rows):
                 total += weights[len(piv)]
         start = end
         if start >= hi:
             break
     return (total,)
-
-
-def _vector_decider(ctx: FieldCtx, n: int, s: int):
-    """Generation test for lists of base-field coordinate vectors (in
-    _element_coords order) of M_n(F_{q^s}) over ctx: the vectors are
-    folded back into matrices and handed to generates()."""
-    shape = shape_over_field(ctx, [(n, s, 1)])
-    if s == 1:
-        return lambda vecs: generates(shape, [(v,) for v in vecs])
-    powers = [ctx.q ** t for t in range(s)]
-
-    def matrix(v):
-        return tuple(sum(c * w for c, w in zip(v[i:i + s], powers))
-                     for i in range(0, len(v), s))
-
-    return lambda vecs: generates(shape, [(matrix(v),) for v in vecs])
 
 
 def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
@@ -491,6 +564,8 @@ def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
     sizes = Counter(_orbit_key(ctx, ext, n, tup, auts)
                     for tup in itertools.product(mats, repeat=k)
                     if generates(shape, [(a,) for a in tup]))
+    if m > len(sizes):
+        return 0
     # e[j]: elementary symmetric sum of degree j of the orbit sizes so far
     e = [1] + [0] * m
     for c in sizes.values():

@@ -2,9 +2,9 @@
 
 A tuple generates M_{n_1}(Z)^{m_1} x ... as a Z-algebra iff the lattice
 spanned by all monomials in its entries (including 1) is the full integer
-lattice.  The closure is computed by Noetherian-chain iteration: adjoin
-left products by the generators and re-reduce until the lattice stops
-growing.  The Hermite normal form of the final lattice certifies the
+lattice.  The closure is computed by Noetherian-chain iteration in the
+loop genff._closure, which the F_p closure shares: adjoin left products
+by the generators and re-reduce until the lattice stops growing.  The Hermite normal form of the final lattice certifies the
 outcome; its index is 1 exactly when the tuple generates, and the prime
 factors of the index are the residue characteristics where generation
 fails.
@@ -180,83 +180,15 @@ def hnf(rows, D: int | None = None) -> Lattice:
 # Monomial closure over Z
 # ---------------------------------------------------------------------------
 
-def _validate_z_tuple(shape: AlgebraShape, t):
+def _closure_echelon(shape: AlgebraShape, t) -> _ZEchelon:
     if shape.ctx is not None:
         raise ShapeMismatch("expected a Z-side shape")
-    sizes = shape.slot_sizes()
-    gens = []
-    for elem in t:
-        if len(elem) != len(sizes):
-            raise ShapeMismatch("element does not match shape slots")
-        mats = []
-        for mat, n in zip(elem, sizes):
-            mat = tuple(int(v) for v in mat)
-            if len(mat) != n * n:
-                raise ShapeMismatch("matrix size does not match shape")
-            mats.append(mat)
-        gens.append(tuple(mats))
-    return sizes, gens
-
-
-def _left_mul_ops(sizes, elem):
-    """Sparse row form of the left-multiplication operator of an element.
-
-    Returns one list per coordinate; each holds (source_coord, coeff)
-    pairs, so products are D sparse dot products regardless of entry size.
-    """
-    ops = []
-    off = 0
-    for slot, n in enumerate(sizes):
-        gmat = elem[slot]
-        for r in range(n):
-            grow = gmat[r * n:(r + 1) * n]
-            for c in range(n):
-                ops.append([(off + i * n + c, grow[i])
-                            for i in range(n) if grow[i]])
-        off += n * n
-    return ops
-
-
-def _identity_coords(sizes) -> list[int]:
-    out = []
-    for n in sizes:
-        out.extend(ffalg.mat_identity(n))
-    return out
-
-
-def _closure_echelon(shape: AlgebraShape, t) -> _ZEchelon:
-    sizes, gens = _validate_z_tuple(shape, t)
-    D = shape.rank
-    ops = [_left_mul_ops(sizes, g) for g in gens]
-    ech = _ZEchelon(D)
-    seed = _identity_coords(sizes)
-    ech.add(list(seed))
-    work = [seed]
-    modulus = 0
-    if ech.rank == D:
-        modulus = ech.index_if_full()
-        if modulus == 1:
-            return ech
-    while work:
-        v = work.pop()
-        for op in ops:
-            w = [_sparse_dot(row, v) for row in op]
-            if modulus:
-                w = [x % modulus for x in w]
-            if ech.add(w):
-                if ech.rank == D:
-                    modulus = ech.index_if_full()
-                    if modulus == 1:
-                        return ech
-                work.append(w)
+    ops = [genff.left_mul_ops(shape, genff._element_coords(shape, g))
+           for g in genff._check_tuple(shape, t)]
+    ech = _ZEchelon(shape.rank)
+    genff._closure(ech.add, ech.index_if_full, 0, genff._scalar_coords(shape),
+                   ops)
     return ech
-
-
-def _sparse_dot(row, v) -> int:
-    acc = 0
-    for t, c in row:
-        acc += c * v[t]
-    return acc
 
 
 def generates_Z_bool(shape: AlgebraShape, t) -> bool:

@@ -1,0 +1,46 @@
+"""Test oracle: brute-force conjugacy of matrix tuples over a finite field.
+
+genff decides automorphism orbits by a canonical orbit key; this sweep
+over GL_n, which compares g a with b g and needs no inverses, checks it.
+"""
+
+import itertools
+
+from algen import ffalg
+from algen.errors import DimensionMismatch
+
+
+def are_conjugate_tuples(ctx, t1, t2, include_galois=False, base_q=None,
+                         cap=ffalg.CONJUGACY_CAP) -> bool:
+    """True iff some g in GL_n (optionally composed with a Frobenius power
+    over the base field of size base_q) maps t1 coordinatewise to t2.
+
+    base_q defaults to p, giving the full automorphism group over the
+    prime field.
+    """
+    if len(t1) != len(t2):
+        raise DimensionMismatch("tuples of different length")
+    if not t1:
+        return True
+    sz = len(t1[0])
+    n = 1
+    while n * n < sz:
+        n += 1
+    if n * n != sz or any(len(a) != sz for a in itertools.chain(t1, t2)):
+        raise DimensionMismatch("entries are not square matrices of equal size")
+
+    if base_q is None:
+        base_q = ctx.p
+    twists = [tuple(t1)]
+    if include_galois and ctx.s > 1:
+        # Galois twists of t1: powers of the Frobenius x -> x^base_q.
+        for _ in range(ffalg._galois_order(ctx, base_q) - 1):
+            twists.append(tuple(ffalg.frobenius_mat(ctx, n, a, base_q)
+                                for a in twists[-1]))
+
+    for g in ffalg.gl_elements(ctx, n, cap):
+        for tw in twists:
+            if all(ffalg.mat_mul(ctx, n, g, a) == ffalg.mat_mul(ctx, n, b, g)
+                   for a, b in zip(tw, t2)):
+                return True
+    return False

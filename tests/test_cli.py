@@ -183,10 +183,12 @@ def test_bad_inputs_exit_2(capsys, monkeypatch, tmp_path):
     code, _ = run_cli(capsys, "exhaustive", "--polys",
                       '[{"1,0": 1}, {"0,1": 1}]', "--N", "-1")
     assert code == 2
-    monkeypatch.setenv("ALGEN_ENUM_CAP", "abc")
-    code, _ = run_cli(capsys, "count", "--k", "2", "--n", "2", "--q", "2",
-                      "--brute")
-    assert code == 2
+    for cap in ("abc", "-5", "0"):
+        monkeypatch.setenv("ALGEN_ENUM_CAP", cap)
+        code, out = run_cli(capsys, "count", "--k", "2", "--n", "2", "--q", "2",
+                            "--brute")
+        assert code == 2 and out == "", cap
+    monkeypatch.delenv("ALGEN_ENUM_CAP")
     # unreadable files and entries that are not integers
     missing = str(tmp_path / "missing.json")
     for argv in (["exhaustive", "--polys", '[{"1": "abc"}]', "--N", "2"],
@@ -309,10 +311,10 @@ def test_construct_twogen_over_a_huge_prime_field(capsys):
     assert doc["generators"][1] == {"n": 2, "entries": [0, 1, 1, 0]}
 
 
-def test_count_brute_power_from_orbit_sizes(monkeypatch):
+def test_count_brute_power_from_orbit_sizes():
     # 256^16 m-tuples of coordinate pairs of M_2(F_2): counted from the
-    # sizes of the 16 orbits of generating pairs, never enumerated
-    monkeypatch.setenv("ALGEN_ENUM_CAP", str(2 ** 128))
+    # sizes of the 16 orbits of generating pairs, never enumerated, so
+    # only the 256 coordinate pairs meet the enumeration cap
     res = _run_subprocess("count", "--k", "2", "--n", "2", "--q", "2",
                           "--m", "16", "--verify")
     assert res.returncode == 0, res.stderr
@@ -320,6 +322,20 @@ def test_count_brute_power_from_orbit_sizes(monkeypatch):
     for i in range(16):
         prod *= 96 - 6 * i
     assert json.loads(res.stdout)["value"] == str(prod)
+
+
+def test_count_brute_power_beyond_the_orbit_count(capsys):
+    # m = 4 was refused for its 256^4 states.  M_2(F_2)^m needs more than
+    # two generators from m = 17 on, one copy more than the 16 orbits
+    base = ("count", "--k", "2", "--n", "2", "--q", "2", "--m")
+    brute = run_json(capsys, *base, "4", "--brute")
+    assert brute["value"] == run_json(capsys, *base, "4", "--formula")["value"]
+    assert brute["value"] == "56609280"
+    doc = run_json(capsys, *base, "17", "--verify")
+    assert doc["brute"] == doc["formula"] == "0"
+    res = _run_subprocess(*base, "1000000000", "--brute")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["value"] == "0"
 
 
 def test_numpy_is_imported_only_by_the_grid_commands():
@@ -337,3 +353,30 @@ def test_numpy_is_imported_only_by_the_grid_commands():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=20)
     assert res.returncode == 0, res.stderr
+
+
+def test_benchmark_tracer_sees_the_closure_layers():
+    # perfbench/tracer.py wraps algen's layers by attribute name from
+    # outside src/; a refactor that renames or bypasses a traced layer
+    # fails here instead of zeroing a per-layer metric
+    src = os.path.dirname(os.path.dirname(algen.__file__))
+    perfbench = os.path.join(os.path.dirname(src), "perfbench")
+    code = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{perfbench!r}, {src!r}]\n"
+        "import tracer\n"
+        "t = tracer.Tracer()\n"
+        "tracer.install(t)\n"
+        "import algen.cli\n"
+        "algen.cli.main(['count', '--k', '2', '--n', '2', '--q', '4',"
+        " '--brute'])\n"
+        "print(json.dumps({k: v['calls'] for k, v in t.summary().items()}))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    out = res.stdout.splitlines()
+    assert json.loads(out[0])["value"] == "46080"
+    calls = json.loads(out[-1])
+    assert calls["genff.fq_closure"] == 43
+    assert calls["cli"] == 1

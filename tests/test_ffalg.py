@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from conjugacy import are_conjugate_tuples
 
 from algen import ffalg
 from algen.errors import (
@@ -14,7 +15,6 @@ from algen.errors import (
     TooLarge,
 )
 from algen.ffalg import (
-    are_conjugate_tuples,
     gl_elements,
     group_orders,
     make_field,

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conjugacy import are_conjugate_tuples
 
 from algen import ffalg, genff
 from algen.errors import BadParams, ShapeMismatch, TooLarge, UnsupportedSize
@@ -52,32 +53,71 @@ def test_generates_shape_validation():
         shape_over_field(make_field(2), [(2, 1, 1), (2, 1, 1)])  # duplicate
 
 
+def _coords(shape, t):
+    return [genff._element_coords(shape, elem) for elem in t]
+
+
 def test_fast_path_agrees_with_generic():
     shape = _m2_shape(2)
     rng = random.Random(4)
     for _ in range(300):
         t = [tuple(tuple(rng.randrange(2) for _ in range(4)) for _ in range(1))
              for _ in range(2)]
-        assert generates(shape, t) == genff._generates_generic(shape, t)
+        assert generates(shape, t) == genff._generates_generic(shape, _coords(shape, t))
+
+
+# -- matrix-format oracles: products of matrices, not operators on coordinates
+
+def _slot_fields(shape):
+    out = []
+    for n, s, m in shape.blocks:
+        out.extend([shape.ctx if s == 1 else make_field(shape.ctx.p, s)] * m)
+    return out
+
+
+def _identity_element(shape):
+    return tuple(ffalg.mat_identity(n) for n in shape.slot_sizes())
+
+
+def _element_mul(fields, sizes, a, b):
+    return tuple(mat_mul(fields[i], sizes[i], a[i], b[i])
+                 for i in range(len(sizes)))
+
+
+def _matrix_closure_generates(shape, t):
+    """Oracle: the worklist closure over matrix products, with the echelon
+    over the base field F_q itself (no recoding over F_p)."""
+    sizes = shape.slot_sizes()
+    fields = _slot_fields(shape)
+    D = shape.rank
+    ech = ffalg.FqEchelon(shape.ctx, D)
+    one = _identity_element(shape)
+    ech.insert(genff._element_coords(shape, one))
+    work = [one]
+    while work and ech.dim < D:
+        v = work.pop()
+        for g in t:
+            w = _element_mul(fields, sizes, g, v)
+            if ech.insert(genff._element_coords(shape, w)):
+                work.append(w)
+    return ech.dim == D
 
 
 def _naive_word_span_generates(shape, t):
     """Oracle: span all words of length < rank, built breadth first."""
-    ctx = shape.ctx
     sizes = shape.slot_sizes()
-    fields = shape.slot_fields()
+    fields = _slot_fields(shape)
     D = shape.rank
-    ident = genff._identity_element(shape)
+    ident = _identity_element(shape)
     words = [ident]
     level = [ident]
     for _ in range(D - 1):
-        level = [genff._element_mul(shape, fields, sizes, g, w)
-                 for w in level for g in t]
+        level = [_element_mul(fields, sizes, g, w) for w in level for g in t]
         words.extend(level)
         if len(words) > 6000:
             break
     vecs = [genff._element_coords(shape, w) for w in words]
-    return ffalg.span_dimension(ctx, vecs) == D
+    return ffalg.span_dimension(shape.ctx, vecs) == D
 
 
 def test_closure_against_word_span_oracle():
@@ -94,6 +134,33 @@ def test_closure_against_word_span_oracle():
                    for _ in range(m))
              for _ in range(rng.randrange(1, 3))]
         assert generates(shape, t) == _naive_word_span_generates(shape, t)
+
+
+def test_closure_against_matrix_closure_oracle():
+    # (q, blocks): F_2 with n = 4 (no bit-packed path), F_3, F_4, F_8 and
+    # F_9 as base fields (recoded over F_p with x 1), F_4, F_8 and F_9 over
+    # their prime fields, mixed blocks and power shapes
+    cases = [(2, [(4, 1, 1)]), (3, [(2, 1, 1)]), (3, [(1, 1, 2), (2, 1, 1)]),
+             (4, [(2, 1, 1)]), (4, [(1, 1, 1), (2, 1, 2)]), (8, [(2, 1, 1)]),
+             (9, [(2, 1, 1)]), (9, [(1, 1, 3)]), (2, [(2, 2, 1)]),
+             (2, [(2, 3, 1)]), (3, [(2, 2, 1)]), (2, [(2, 1, 2)]),
+             (2, [(2, 1, 1), (2, 2, 1)]), (2, [(1, 2, 2), (2, 1, 1)]),
+             (3, [(1, 2, 1), (1, 1, 2)])]
+    rng = random.Random(2024)
+    seen = set()
+    for q, blocks in cases:
+        ctx = make_field(*ffalg.prime_power_split(q))
+        shape = shape_over_field(ctx, blocks)
+        slots = [(n, ctx.q ** s) for n, s, m in blocks for _ in range(m)]
+        for _ in range(40):
+            k = rng.randrange(1, 4)
+            t = [tuple(tuple(rng.randrange(size) for _ in range(n * n))
+                       for n, size in slots) for _ in range(k)]
+            verdict = generates(shape, t)
+            assert verdict == _matrix_closure_generates(shape, t), (q, blocks, t)
+            seen.add((q, tuple(blocks), verdict))
+    # both verdicts occur on most shapes
+    assert len(seen) >= len(cases) + 10
 
 
 def test_closed_forms():
@@ -134,9 +201,10 @@ def test_enum_cap_env_override(monkeypatch):
 
 
 def test_enum_cap_env_not_an_integer(monkeypatch):
-    monkeypatch.setenv("ALGEN_ENUM_CAP", "abc")
-    with pytest.raises(BadParams):
-        brute_count(2, 2, 2)
+    for cap in ("abc", "-5", "0"):
+        monkeypatch.setenv("ALGEN_ENUM_CAP", cap)
+        with pytest.raises(BadParams):
+            brute_count(2, 2, 2)
 
 
 def test_gen_count_values():
@@ -196,6 +264,38 @@ def test_generates_power():
     assert not generates_power(f2, 2, 1, 2, [pair, conj])
     other = (E12, (1, 1, 1, 0))
     assert generates_power(f2, 2, 1, 2, [pair, other])
+
+
+def test_orbit_key_matches_conjugacy_oracle():
+    # equal orbit keys iff the brute-force sweep over GL_n (with the
+    # Frobenius twists over the base field) finds a conjugating matrix:
+    # pairs in M_2(F_2) and M_2(F_3), and in M_2(F_4) over F_2
+    rng = random.Random(31)
+    for p, s, samples in ((2, 1, 60), (3, 1, 30), (2, 2, 30)):
+        ctx, ext = make_field(p), make_field(p, s)
+        auts = genff._automorphisms(ctx, ext, 2)
+        seen = set()
+        for _ in range(samples):
+            t1 = tuple(tuple(rng.randrange(ext.q) for _ in range(4))
+                       for _ in range(2))
+            if rng.randrange(2):
+                # the image of t1 under a random automorphism
+                g, ginv, j = rng.choice(auts)
+                t2 = []
+                for a in t1:
+                    for _ in range(j):
+                        a = ffalg.frobenius_mat(ext, 2, a, p)
+                    t2.append(mat_mul(ext, 2, mat_mul(ext, 2, g, a), ginv))
+                t2 = tuple(t2)
+            else:
+                t2 = tuple(tuple(rng.randrange(ext.q) for _ in range(4))
+                           for _ in range(2))
+            same = (genff._orbit_key(ctx, ext, 2, t1, auts)
+                    == genff._orbit_key(ctx, ext, 2, t2, auts))
+            assert same == are_conjugate_tuples(ext, t1, t2, include_galois=True,
+                                                base_q=p)
+            seen.add(same)
+        assert seen == {True, False}
 
 
 def test_brute_with_galois_scalars():
@@ -476,6 +576,7 @@ def test_subspace_weights_partition_all_tuples(monkeypatch):
 
 def test_brute_count_threads_agree():
     for args, kw in (((2, 2, 2), {}), ((3, 2, 2), {}), ((2, 2, 3), {}),
+                     ((2, 2, 4), {}), ((2, 2, 2), {"s": 2}),
                      ((2, 1, 2), {"s": 3}), ((2, 2, 2), {"m": 2})):
         one = brute_count(*args, threads=1, **kw).value
         assert brute_count(*args, threads=2, **kw).value == one

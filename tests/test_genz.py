@@ -4,6 +4,7 @@ import os
 import random
 
 import pytest
+from conjugacy import are_conjugate_tuples
 
 from algen import ffalg, genff, genz, sampler
 from algen.errors import BadParams, FactorizationIncomplete, UnsupportedSize
@@ -261,7 +262,7 @@ def test_modp_conjugacy_classification():
     def conjugate_mod(p, P1, P2):
         t1 = tuple(tuple(v % p for v in mats[c]) for c in P1)
         t2 = tuple(tuple(v % p for v in mats[c]) for c in P2)
-        return ffalg.are_conjugate_tuples(ctxs[p], t1, t2, cap=30_000)
+        return are_conjugate_tuples(ctxs[p], t1, t2, cap=30_000)
 
     for members in classes.values():
         for P1, P2 in zip(members, members[1:]):
@@ -461,7 +462,8 @@ def test_pair_class_representative_has_same_verdicts():
 
     def verdicts(a, b):
         t = [(genz._code_to_zmat(3, a),), (genz._code_to_zmat(3, b),)]
-        return (genff._generates_generic(fshape, t),
+        return (genff._generates_generic(
+                    fshape, [genff._element_coords(fshape, e) for e in t]),
                 generates_Z(SHAPE3, t).generates)
 
     seen = set()
