@@ -357,17 +357,56 @@ def make_field(p: int, s: int = 1) -> FieldCtx:
 
 
 def multiplicative_generator(ctx: FieldCtx) -> int:
-    """Smallest element (canonical order) of multiplicative order q - 1."""
+    """Smallest element (canonical order) of multiplicative order q - 1.
+
+    The norm F_q* -> F_p* is a surjective homomorphism, so the norm of a
+    generator generates F_p*.  Candidates that fail this test, which takes
+    a determinant and powers mod p, are skipped before the powers in F_q.
+    """
     target = ctx.q - 1
     if target == 1:
         return 1
+    p = ctx.p
     factors = prime_factors(target)
+    p_factors = prime_factors(p - 1)
     for a in ctx.elements_in_canonical_order():
         if a == 0:
+            continue
+        norm = _norm(ctx, a)
+        if any(pow(norm, (p - 1) // r, p) == 1 for r in p_factors):
             continue
         if all(ctx.pow(a, target // r) != 1 for r in factors):
             return a
     raise AssertionError("F_q* is cyclic; a generator must exist")
+
+
+def _norm(ctx: FieldCtx, a: int) -> int:
+    """N(a) in F_p: the determinant mod p of the F_p matrix of x -> a x,
+    whose u-th column holds the coefficients of a x^u."""
+    p, f = ctx.p, ctx.modulus
+    col = list(ctx.coeffs(a))
+    cols = [col]
+    for _ in range(ctx.s - 1):
+        # times x: shift up, then x^s = -(f_0 + ... + f_{s-1} x^{s-1})
+        top = col[-1]
+        col = [(c - top * fi) % p for c, fi in zip([0] + col[:-1], f)]
+        cols.append(col)
+    det = 1
+    for j in range(ctx.s):
+        i = next((i for i in range(j, ctx.s) if cols[i][j]), None)
+        if i is None:
+            return 0
+        if i != j:
+            cols[i], cols[j] = cols[j], cols[i]
+            det = -det
+        piv = cols[j]
+        det = det * piv[j] % p
+        inv = pow(piv[j], -1, p)
+        for r in range(j + 1, ctx.s):
+            c = cols[r][j] * inv % p
+            if c:
+                cols[r] = [(x - c * y) % p for x, y in zip(cols[r], piv)]
+    return det % p
 
 
 # ---------------------------------------------------------------------------

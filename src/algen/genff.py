@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -206,15 +206,19 @@ def _closure(add, index, modulus: int, seed, ops) -> None:
     of it.  Products are reduced mod the modulus unless it is 0.  Over F_p
     it is p throughout; over Z it is 0 until full rank and then the index
     d of the lattice, which contains d Z^D.
+
+    Words are taken breadth-first, shortest first.  The span does not
+    depend on the order, but over Z the coefficients of a word grow with
+    its length, and long words multiplied first make long echelon rows.
     """
     add(seed)
     full = index()
     if full == 1:
         return
     modulus = full or modulus
-    work = [seed]
+    work = deque([seed])
     while work:
-        v = work.pop()
+        v = work.popleft()
         for op in ops:
             w = []
             for row in op:

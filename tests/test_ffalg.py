@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -158,6 +159,46 @@ def test_multiplicative_generator():
             x = ctx.mul(x, g)
             seen.add(x)
         assert len(seen) == ctx.q - 1
+
+
+def _generator_by_powers(ctx):
+    """multiplicative_generator without the norm filter: every candidate
+    goes through the powers a^((q-1)/r) in F_q."""
+    target = ctx.q - 1
+    if target == 1:
+        return 1
+    factors = ffalg.prime_factors(target)
+    for a in ctx.elements_in_canonical_order():
+        if a and all(ctx.pow(a, target // r) != 1 for r in factors):
+            return a
+
+
+@pytest.mark.parametrize("p, s", [
+    (2, 1), (7, 1), (3, 2), (5, 2), (7, 2), (13, 2), (31, 2), (101, 2),
+    (2, 2), (2, 3), (2, 5), (2, 8), (3, 3), (3, 5), (7, 3), (5, 3),
+])
+def test_multiplicative_generator_against_powers_oracle(p, s):
+    ctx = make_field(p, s)
+    assert multiplicative_generator(ctx) == _generator_by_powers(ctx)
+    # the norm is the power a^((q-1)/(p-1)), computed without powers in F_q
+    rng = random.Random(p * 100 + s)
+    for _ in range(20):
+        a = rng.randrange(ctx.q)
+        assert ffalg._norm(ctx, a) == (
+            ctx.pow(a, (ctx.q - 1) // (p - 1)) if a else 0)
+
+
+def test_multiplicative_generator_large_quadratic_field():
+    # F_{65537^2}: all but one of the 65539 candidates before 1 + 3x fail
+    # the norm test (N(c x) = c^2); _generator_by_powers takes 13 s here
+    ctx = make_field(65537, 2)
+    t0 = time.perf_counter()
+    g = multiplicative_generator(ctx)
+    elapsed = time.perf_counter() - t0
+    assert g == 196612 and ctx.coeffs(g) == (1, 3)
+    assert all(ctx.pow(g, (ctx.q - 1) // r) != 1
+               for r in ffalg.prime_factors(ctx.q - 1))
+    assert elapsed < 8
 
 
 def test_span_dimension():

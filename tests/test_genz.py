@@ -154,11 +154,14 @@ def _naive_closure(shape, t):
 
 def test_closure_against_fixed_point_oracle():
     rng = random.Random(777)
-    for _ in range(120):
+    # small entries first, then entries up to 10^6, whose products grow
+    # long coefficients before the closure reaches full rank
+    for i in range(150):
+        bound = 3 if i < 120 else 10 ** 6
         blocks = rng.choice([[(2, 1)], [(3, 1)], [(1, 1), (2, 1)], [(2, 2)]])
         shape = shape_over_Z(blocks)
         sizes = shape.slot_sizes()
-        t = [tuple(tuple(rng.randrange(-3, 4) for _ in range(n * n))
+        t = [tuple(tuple(rng.randrange(-bound, bound + 1) for _ in range(n * n))
                    for n in sizes)
              for _ in range(rng.randrange(1, 4))]
         assert closure_lattice(shape, t).basis == _naive_closure(shape, t).basis
