@@ -251,10 +251,8 @@ def generates(shape: AlgebraShape, t) -> bool:
 def _decide(shape: AlgebraShape, vecs) -> bool:
     """Generation test for coordinate vectors over an F_q shape.
 
-    A single M_n(F_2)^m block with n <= 3 goes to the bit-packed closure.
-    A base field F_q = F_p[x] with q = p^e, e > 1, is recoded over F_p:
-    the F_q-span of the monomials in t is the F_p-span of the monomials in
-    t and the central x 1, and each block (n, 1, m) becomes (n, e, m).
+    A single M_n(F_2)^m block with n <= 3 goes to the row tables of
+    _f2_generates; every other shape is decided over its prime field.
     """
     ctx = shape.ctx
     n, s, m = shape.blocks[0]
@@ -264,25 +262,49 @@ def _decide(shape: AlgebraShape, vecs) -> bool:
         return _f2_generates(n, m, [
             tuple(code >> (i * nn) & mask for i in range(m))
             for code in map(_f2_encode, vecs)])
-    if ctx.s > 1:
-        blocks = [(n, ctx.s, m) for n, _s, m in shape.blocks]
-        shape = shape_over_field(make_field(ctx.p), blocks)
-        vecs = [[c for a in v for c in ctx.coeffs(a)] for v in vecs]
-        vecs.append(_scalar_coords(shape, ctx.p))
-    return _generates_generic(shape, vecs)
+    return _generates_generic(*_over_prime_field(shape, vecs))
+
+
+def _over_prime_field(shape: AlgebraShape, vecs):
+    """The shape and coordinate vectors recoded over the prime field.
+
+    A base field F_q = F_p[x] with q = p^e, e > 1, is recoded over F_p:
+    the F_q-span of the monomials in t is the F_p-span of the monomials in
+    t and the central x 1, and each block (n, 1, m) becomes (n, e, m).
+    Over a prime field both are returned as they are.
+    """
+    ctx = shape.ctx
+    if ctx.s == 1:
+        return shape, vecs
+    blocks = [(n, ctx.s, m) for n, _s, m in shape.blocks]
+    shape = shape_over_field(make_field(ctx.p), blocks)
+    vecs = [[c for a in v for c in ctx.coeffs(a)] for v in vecs]
+    vecs.append(_scalar_coords(shape, ctx.p))
+    return shape, vecs
 
 
 def _generates_generic(shape: AlgebraShape, vecs) -> bool:
-    """Closure over a prime field of the elements with coordinates vecs."""
+    """Closure over a prime field of the elements with coordinates vecs:
+    bit-packed over F_2, the list loop _closure over an FqEchelon for odd
+    p."""
     ctx = shape.ctx
     D = shape.rank
+    if ctx.p == 2:
+        return _f2_span_generates(D, _f2_one(shape),
+                                  [_f2_masks(shape, v) for v in vecs])
     ech = FqEchelon(ctx, D)
     _closure(ech.insert, lambda: int(ech.dim == D), ctx.p,
              _scalar_coords(shape), [left_mul_ops(shape, v) for v in vecs])
     return ech.dim == D
 
 
-# -- bit-packed fast path over F_2 ------------------------------------------
+# -- bit-packed closures over F_2 -------------------------------------------
+#
+# A coordinate vector over F_2 is one int, coordinate i at bit i.  Single
+# M_n(F_2)^m blocks with n <= 3 multiply through row tables
+# (_f2_generates); every other shape over F_2 applies each generator as D
+# row masks, bit j of g v being the parity of masks[j] & v.  Both keep the
+# span as an XOR echelon keyed by the leading bit.
 
 def _f2_encode(mat) -> int:
     code = 0
@@ -368,6 +390,86 @@ def _f2_generates(n: int, m: int, gen_codes) -> bool:
                 if rank == D:
                     return True
                 work.append(w)
+    return False
+
+
+@lru_cache(maxsize=4096)
+def _f2_row_masks(n: int, s: int, row: int) -> tuple[int, ...]:
+    """B[v] for one row of a generator g in block (n, s, m), row being
+    its n entries as n s bits: the OR over i of row v of the F_2 matrix
+    of x -> g[r, i] x (a bit mask over the s source coefficients),
+    shifted to entry (i, 0)."""
+    ext = make_field(2, s)
+    emask = (1 << s) - 1
+    B = [0] * s
+    for i in range(n):
+        a = row >> (i * s) & emask
+        if a:
+            for v, act in enumerate(_mul_action(ext, a)):
+                B[v] |= _f2_encode(act) << (i * n * s)
+    return tuple(B)
+
+
+def _f2_masks(shape: AlgebraShape, coords) -> list[int]:
+    """v -> g v over F_2 as D row masks, g the element with the given
+    coordinates: bit j of g v is the parity of masks[j] & v.
+
+    In block (n, s, m) the mask of product coordinate (r, c, v) is
+    B[r][v] << (off + c s), B[r] from _f2_row_masks.  Its set bits are
+    the sources that left_mul_ops lists for that coordinate.
+    """
+    g = _f2_encode(coords)
+    masks = []
+    off = 0
+    for n, s, m in shape.blocks:
+        ns = n * s
+        row_mask = (1 << ns) - 1
+        for _ in range(m):
+            for r in range(n):
+                B = _f2_row_masks(n, s, g >> (off + r * ns) & row_mask)
+                for c in range(off, off + ns, s):
+                    masks.extend([b << c for b in B])
+            off += n * ns
+    return masks
+
+
+@lru_cache(maxsize=64)
+def _f2_one(shape: AlgebraShape) -> int:
+    """The identity of an F_2 shape as a packed vector."""
+    return _f2_encode(_scalar_coords(shape))
+
+
+def _f2_span_generates(D: int, seed: int, gens) -> bool:
+    """Closure over F_2 of seed under the operators gens (row masks as
+    from _f2_masks) on D-bit vectors: True iff the span reaches rank D.
+    Words are taken breadth-first; the span is an XOR echelon keyed by
+    the leading bit."""
+    if D == 1:
+        return True
+    piv = [0] * D
+    piv[seed.bit_length() - 1] = seed
+    rank = 1
+    bits = [1 << j for j in range(D)]
+    work = deque([seed])
+    while work:
+        v = work.popleft()
+        for masks in gens:
+            w = 0
+            for mk, bit in zip(masks, bits):
+                if (mk & v).bit_count() & 1:
+                    w |= bit
+            x = w
+            while x:
+                b = x.bit_length() - 1
+                r = piv[b]
+                if not r:
+                    piv[b] = x
+                    rank += 1
+                    if rank == D:
+                        return True
+                    work.append(w)
+                    break
+                x ^= r
     return False
 
 

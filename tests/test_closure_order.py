@@ -6,6 +6,7 @@ over Z the breadth-first order must do less echelon work."""
 import random
 
 import pytest
+from listclosure import list_closure_generates
 
 from algen import genff, genz, sampler
 from algen.ffalg import make_field
@@ -44,10 +45,19 @@ def _lifo_closure(add, index, modulus, seed, ops):
 
 
 def _both_orders(monkeypatch, fn, *args):
+    """fn(*args) with genff._closure as it is and with the depth-first
+    loop; a call that never reaches the loop compares nothing and fails."""
     fifo = fn(*args)
+    runs = []
+
+    def lifo_closure(*closure_args):
+        runs.append(1)
+        return _lifo_closure(*closure_args)
+
     with monkeypatch.context() as m:
-        m.setattr(genff, "_closure", _lifo_closure)
+        m.setattr(genff, "_closure", lifo_closure)
         lifo = fn(*args)
+    assert runs, "the depth-first loop was never reached"
     return fifo, lifo
 
 
@@ -103,6 +113,8 @@ def test_m2z_times_z_lattices_independent_of_order(monkeypatch):
     (4, [(1, 1, 1), (2, 1, 1)]),
 ])
 def test_fq_verdicts_independent_of_order(monkeypatch, q, blocks):
+    # generates sends F_4 shapes to the bit-packed closure over F_2, so
+    # the list closure reference runs genff._closure for every q
     p, e = (2, 2) if q == 4 else (q, 1)
     ctx = make_field(p, e)
     shape = shape_over_field(ctx, blocks)
@@ -112,21 +124,24 @@ def test_fq_verdicts_independent_of_order(monkeypatch, q, blocks):
         t = [tuple(tuple(rng.randrange(ctx.q) for _ in range(n * n))
                    for n in shape.slot_sizes())
              for _ in range(rng.randrange(1, 3))]
-        fifo, lifo = _both_orders(monkeypatch, genff.generates, shape, t)
-        assert fifo == lifo
+        vecs = [genff._element_coords(shape, elem) for elem in t]
+        fifo, lifo = _both_orders(monkeypatch, list_closure_generates,
+                                  shape, vecs)
+        assert fifo == lifo == genff.generates(shape, t)
         verdicts.append(fifo)
     assert any(verdicts) and not all(verdicts)
 
 
 def test_m2f2_squared_verdicts_independent_of_order(monkeypatch):
-    # generates sends M_2(F_2)^2 to the bit-packed loop, so call the
-    # generic closure, which runs genff._closure, directly
+    # generates sends M_2(F_2)^2 to the row tables and _generates_generic
+    # to the bit-packed closure, so the list closure reference runs
+    # genff._closure
     shape = shape_over_field(make_field(2), [(2, 1, 2)])
     rng = random.Random(22)
     verdicts = []
     for _ in range(80):
         vecs = [[rng.randrange(2) for _ in range(8)] for _ in range(2)]
-        fifo, lifo = _both_orders(monkeypatch, genff._generates_generic,
+        fifo, lifo = _both_orders(monkeypatch, list_closure_generates,
                                   shape, vecs)
         assert fifo == lifo == genff.generates(
             shape, [(v[:4], v[4:]) for v in vecs])

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 from conjugacy import are_conjugate_tuples
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from listclosure import list_closure_generates
 
 from algen import ffalg, genff
 from algen.errors import BadParams, ShapeMismatch, TooLarge, UnsupportedSize
@@ -137,9 +140,9 @@ def test_closure_against_word_span_oracle():
 
 
 def test_closure_against_matrix_closure_oracle():
-    # (q, blocks): F_2 with n = 4 (no bit-packed path), F_3, F_4, F_8 and
-    # F_9 as base fields (recoded over F_p with x 1), F_4, F_8 and F_9 over
-    # their prime fields, mixed blocks and power shapes
+    # (q, blocks): F_2 with n = 4 (the mask closure, no row tables), F_3,
+    # F_4, F_8 and F_9 as base fields (recoded over F_p with x 1), F_4, F_8
+    # and F_9 over their prime fields, mixed blocks and power shapes
     cases = [(2, [(4, 1, 1)]), (3, [(2, 1, 1)]), (3, [(1, 1, 2), (2, 1, 1)]),
              (4, [(2, 1, 1)]), (4, [(1, 1, 1), (2, 1, 2)]), (8, [(2, 1, 1)]),
              (9, [(2, 1, 1)]), (9, [(1, 1, 3)]), (2, [(2, 2, 1)]),
@@ -161,6 +164,91 @@ def test_closure_against_matrix_closure_oracle():
             seen.add((q, tuple(blocks), verdict))
     # both verdicts occur on most shapes
     assert len(seen) >= len(cases) + 10
+
+
+# -- the bit-packed closure over F_2 against the list closure and matrices
+
+# F_2 shapes outside the row tables, F_4 and F_8 bases (recoded over F_2
+# with x 1), and M_2(F_2)^2, which generates sends to the row tables and
+# _packed_generates to the masks
+PACKED_CASES = [(2, [(2, 2, 1)]), (2, [(2, 3, 1)]), (2, [(3, 2, 1)]),
+                (2, [(4, 1, 1)]), (2, [(2, 1, 1), (3, 1, 1)]),
+                (2, [(2, 1, 2)]), (4, [(2, 1, 1)]), (8, [(2, 1, 1)])]
+
+
+def _random_tuple(rng, shape, k):
+    slots = [(n, shape.ctx.q ** s) for n, s, m in shape.blocks
+             for _ in range(m)]
+    return [tuple(tuple(rng.randrange(size) for _ in range(n * n))
+                  for n, size in slots) for _ in range(k)]
+
+
+def _packed_generates(shape, t):
+    """The bit-packed closure on t, even where generates would take the
+    row tables."""
+    return genff._generates_generic(
+        *genff._over_prime_field(shape, _coords(shape, t)))
+
+
+def _assert_all_closures_agree(shape, t):
+    verdict = _packed_generates(shape, t)
+    assert verdict == list_closure_generates(shape, _coords(shape, t))
+    assert verdict == _matrix_closure_generates(shape, t)
+    assert verdict == generates(shape, t)
+    return verdict
+
+
+@pytest.mark.parametrize("q, blocks", PACKED_CASES)
+def test_packed_f2_closure_against_list_and_matrix_oracles(q, blocks):
+    shape = shape_over_field(make_field(*ffalg.prime_power_split(q)), blocks)
+    rng = random.Random(f"{q} {blocks}")
+    verdicts = [_assert_all_closures_agree(shape, _random_tuple(rng, shape, k))
+                for k in (1, 2, 2, 2, 3) * 8]
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("q, blocks", PACKED_CASES)
+def test_packed_masks_are_parity_rows_of_left_mul_ops(q, blocks):
+    # the two operator builders must agree on every coordinate, x 1 included
+    shape = shape_over_field(make_field(*ffalg.prime_power_split(q)), blocks)
+    rng = random.Random(f"masks {q} {blocks}")
+    for _ in range(10):
+        t = _random_tuple(rng, shape, 2)
+        pshape, vecs = genff._over_prime_field(shape, _coords(shape, t))
+        for v in vecs:
+            rows = []
+            for row in genff.left_mul_ops(pshape, v):
+                mask = 0
+                for src, c in row:
+                    mask ^= (c & 1) << src
+                rows.append(mask)
+            assert genff._f2_masks(pshape, v) == rows
+
+
+def _rank(blocks):
+    return sum(n * n * s * m for (n, s), m in blocks)
+
+
+@st.composite
+def _f2_tuples(draw):
+    """A shape over F_2, F_4 or F_8 of rank at most 24 and a tuple in it."""
+    q = draw(st.sampled_from([2, 4, 8]))
+    kinds = [(n, s) for n in (1, 2, 3) for s in ((1, 2, 3) if q == 2 else (1,))]
+    blocks = draw(st.lists(st.tuples(st.sampled_from(kinds), st.integers(1, 2)),
+                           min_size=1, max_size=2, unique_by=lambda b: b[0])
+                  .filter(lambda blocks: _rank(blocks) <= 24))
+    shape = shape_over_field(make_field(*ffalg.prime_power_split(q)),
+                             [(n, s, m) for (n, s), m in blocks])
+    slots = [(n, q ** s) for n, s, m in shape.blocks for _ in range(m)]
+    elem = st.tuples(*[st.tuples(*[st.integers(0, size - 1)] * (n * n))
+                       for n, size in slots])
+    return shape, draw(st.lists(elem, max_size=3))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_f2_tuples())
+def test_f2_closures_agree_property(case):
+    _assert_all_closures_agree(*case)
 
 
 def test_closed_forms():
