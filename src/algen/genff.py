@@ -251,8 +251,8 @@ def generates(shape: AlgebraShape, t) -> bool:
 def _decide(shape: AlgebraShape, vecs) -> bool:
     """Generation test for coordinate vectors over an F_q shape.
 
-    A single M_n(F_2)^m block with n <= 3 goes to the row tables of
-    _f2_generates; every other shape is decided over its prime field.
+    A single M_n(F_2)^m block with n <= 3 goes to _f2_generates; every
+    other shape is decided over its prime field.
     """
     ctx = shape.ctx
     n, s, m = shape.blocks[0]
@@ -301,10 +301,11 @@ def _generates_generic(shape: AlgebraShape, vecs) -> bool:
 # -- bit-packed closures over F_2 -------------------------------------------
 #
 # A coordinate vector over F_2 is one int, coordinate i at bit i.  Single
-# M_n(F_2)^m blocks with n <= 3 multiply through row tables
-# (_f2_generates); every other shape over F_2 applies each generator as D
-# row masks, bit j of g v being the parity of masks[j] & v.  Both keep the
-# span as an XOR echelon keyed by the leading bit.
+# M_n(F_2) blocks with n in {2, 3} are decided by invariant-line masks
+# (_f2_generates), and M_n(F_2)^m with m > 1 or n = 1 by a closure over
+# row tables; every other shape over F_2 applies each generator as D row
+# masks, bit j of g v being the parity of masks[j] & v.  Both closures
+# keep the span as an XOR echelon keyed by the leading bit.
 
 def _f2_encode(mat) -> int:
     code = 0
@@ -336,9 +337,62 @@ def _f2_tables(n: int):
     return rows, xmaps
 
 
+@lru_cache(maxsize=2)
+def _f2_invariant_masks(n: int):
+    """Invariant-line masks of all n x n codes over F_2.
+
+    lines[c] has bit v set for each nonzero v in F_2^n (an n-bit int)
+    with c v in {0, v}: the line through v is invariant.  hyperplanes[c]
+    is the same mask for the transpose of c; its invariant lines are the
+    normals of the hyperplanes that c maps into themselves.
+    """
+    rows, _xmaps = _f2_tables(n)
+    nn = n * n
+    lines = []
+    for r in rows:
+        mask = 0
+        for v in range(1, 1 << n):
+            w = 0
+            for i in range(n):
+                w |= ((r[i] & v).bit_count() & 1) << i
+            if w == 0 or w == v:
+                mask |= 1 << v
+        lines.append(mask)
+    transpose = [sum(1 << (i % n * n + i // n) for i in range(nn) if c >> i & 1)
+                 for c in range(1 << nn)]
+    return tuple(lines), tuple(lines[t] for t in transpose)
+
+
 def _f2_generates(n: int, m: int, gen_codes) -> bool:
-    """Closure over F_2 for M_n(F_2)^m; elements are m-tuples of codes."""
+    """Generation test over F_2 for M_n(F_2)^m; elements are m-tuples of
+    codes.
+
+    For m = 1 and n in {2, 3} the maximal subalgebras of M_n(F_2) are
+    the stabilisers of a line or a hyperplane and the copies of the
+    field F_{2^n}, which are commutative, so the tuple generates iff no
+    line and no hyperplane is invariant under every entry and two
+    entries do not commute (generates_structural on lists).  Otherwise
+    a closure runs over the row tables.
+    """
     rows, xmaps = _f2_tables(n)
+    if m == 1 and n > 1:
+        lines, hyperplanes = _f2_invariant_masks(n)
+        codes = [c for (c,) in gen_codes]
+        common_line = common_hyperplane = -1
+        for c in codes:
+            common_line &= lines[c]
+            common_hyperplane &= hyperplanes[c]
+        if common_line or common_hyperplane:
+            return False
+        # row i of a b is xmaps[b][rows[a][i]]
+        for j, b in enumerate(codes):
+            rb, xb = rows[b], xmaps[b]
+            for a in codes[:j]:
+                ra, xa = rows[a], xmaps[a]
+                for i in range(n):
+                    if xb[ra[i]] != xa[rb[i]]:
+                        return True
+        return False
     nn = n * n
     D = nn * m
     ident = 0
@@ -898,6 +952,9 @@ def generates_structural(ctx: FieldCtx, t, n: int) -> bool:
     generation holds iff there is no common invariant line, no common
     invariant hyperplane (lines of the transposes), and the entries do
     not pairwise commute (ruling out the field-type maximal subalgebras).
+
+    It is the list-level reference of the packed test that _f2_generates
+    applies to single M_2(F_2) and M_3(F_2) blocks, for any q.
     """
     if n not in (2, 3):
         raise UnsupportedSize("structural test covers n in {2, 3}")

@@ -12,6 +12,7 @@ fails.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import ffalg, genff
@@ -22,17 +23,14 @@ from .parutil import sharded_sum
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
+    """(x, y, g) with a x + b y = g = gcd(a, b) >= 0; (+-1, 0, |a|) when
+    b = 0.  For b != 0, x is the inverse of a/g modulo |b/g|, so
+    0 <= x < |b/g|."""
+    if not b:
+        return (-1, 0, -a) if a < 0 else (1, 0, a)
+    g = math.gcd(a, b)
+    x = pow(a // g, -1, abs(b // g))
+    return x, (g - a * x) // b, g
 
 
 # ---------------------------------------------------------------------------

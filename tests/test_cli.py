@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import algen
+from algen import genff
 from algen.cli import main
 
 
@@ -355,10 +356,9 @@ def test_numpy_is_imported_only_by_the_grid_commands():
     assert res.returncode == 0, res.stderr
 
 
-def test_benchmark_tracer_sees_the_closure_layers():
-    # perfbench/tracer.py wraps algen's layers by attribute name from
-    # outside src/; a refactor that renames or bypasses a traced layer
-    # fails here instead of zeroing a per-layer metric
+def _traced_calls(*argv):
+    """Run one command with the benchmark's tracer installed; its stdout
+    lines and the calls counted per traced layer."""
     src = os.path.dirname(os.path.dirname(algen.__file__))
     perfbench = os.path.join(os.path.dirname(src), "perfbench")
     code = (
@@ -368,15 +368,31 @@ def test_benchmark_tracer_sees_the_closure_layers():
         "t = tracer.Tracer()\n"
         "tracer.install(t)\n"
         "import algen.cli\n"
-        "algen.cli.main(['count', '--k', '2', '--n', '2', '--q', '4',"
-        " '--brute'])\n"
+        f"algen.cli.main({list(argv)!r})\n"
         "print(json.dumps({k: v['calls'] for k, v in t.summary().items()}))\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     out = res.stdout.splitlines()
+    return out[:-1], json.loads(out[-1])
+
+
+def test_benchmark_tracer_sees_the_closure_layers():
+    # perfbench/tracer.py wraps algen's layers by attribute name from
+    # outside src/; a refactor that renames or bypasses a traced layer
+    # fails here instead of zeroing a per-layer metric
+    out, calls = _traced_calls("count", "--k", "2", "--n", "2", "--q", "4",
+                               "--brute")
     assert json.loads(out[0])["value"] == "46080"
-    calls = json.loads(out[-1])
     assert calls["genff.fq_closure"] == 43
     assert calls["cli"] == 1
+
+
+def test_benchmark_tracer_sees_the_census_f2_screen():
+    # the census decides one pair per symmetry class over F_2, each through
+    # _f2_generates, which the tracer counts as genff.f2_closure
+    out, calls = _traced_calls("census", "--n", "2", "--threads", "1")
+    assert json.loads(out[0])["gen_mod2"] == 96
+    classes = sum(1 for _ in genff.f2_pair_classes(2, 0, 16))
+    assert calls["genff.f2_closure"] == classes == 49

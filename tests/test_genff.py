@@ -1,6 +1,10 @@
+import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -249,6 +253,105 @@ def _f2_tuples(draw):
 @given(_f2_tuples())
 def test_f2_closures_agree_property(case):
     _assert_all_closures_agree(*case)
+
+
+# -- M_2(F_2) and M_3(F_2): the invariant-line tables against the masks
+#
+# generates decides single M_2(F_2) and M_3(F_2) blocks without a closure:
+# by the invariant-line and invariant-hyperplane masks of _f2_generates and
+# a commutation test.  The mask closure of _generates_generic uses none of
+# those tables, so it is the oracle here.
+
+def _code_matrix(n, code):
+    return tuple(code >> i & 1 for i in range(n * n))
+
+
+@functools.lru_cache(maxsize=2)
+def _mask_closure(n):
+    """codes -> verdict of the mask closure of _generates_generic on the
+    M_n(F_2) tuple with those codes, each code's row masks built once."""
+    shape = shape_over_field(make_field(2), [(n, 1, 1)])
+    one = genff._f2_one(shape)
+    masks = [genff._f2_masks(shape, _code_matrix(n, c))
+             for c in range(1 << (n * n))]
+    return lambda codes: genff._f2_span_generates(
+        n * n, one, [masks[c] for c in codes])
+
+
+def _tables_generate(n, codes):
+    return genff._f2_generates(n, 1, [(c,) for c in codes])
+
+
+def test_invariant_line_tables_against_mask_closure_all_m3_pairs():
+    # every unordered pair a < b and every diagonal pair (a, a)
+    closure = _mask_closure(3)
+    generating = 0
+    for a in range(512):
+        for b in range(a, 512):
+            verdict = _tables_generate(3, (a, b))
+            assert verdict == closure((a, b)), (a, b)
+            generating += verdict
+    assert generating == g_closed_form(2, 3, 2) // 2 == 64512
+
+
+def test_invariant_line_tables_against_mask_closure_m2_pairs_and_triples():
+    closure = _mask_closure(2)
+    for k in (2, 3):
+        generating = 0
+        for codes in itertools.product(range(16), repeat=k):
+            verdict = _tables_generate(2, codes)
+            assert verdict == closure(codes), codes
+            generating += verdict
+        assert generating == g_closed_form(k, 2, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_invariant_line_tables_against_list_closure_k_tuples(n):
+    shape = shape_over_field(make_field(2), [(n, 1, 1)])
+    rng = random.Random(f"lines {n}")
+    verdicts = set()
+    for k in (0, 1, 3, 4, 5):
+        for _ in range(60):
+            codes = [rng.randrange(1 << (n * n)) for _ in range(k)]
+            verdict = _tables_generate(n, codes)
+            assert verdict == list_closure_generates(
+                shape, [list(_code_matrix(n, c)) for c in codes]), codes
+            assert verdict == generates(
+                shape, [(_code_matrix(n, c),) for c in codes])
+            # no tuple of fewer than two entries generates
+            assert k > 1 or not verdict
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+@st.composite
+def _f2_code_tuples(draw):
+    n = draw(st.sampled_from([2, 3]))
+    return n, draw(st.lists(st.integers(0, (1 << (n * n)) - 1), max_size=5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_f2_code_tuples())
+def test_invariant_line_tables_property(case):
+    n, codes = case
+    verdict = _tables_generate(n, codes)
+    assert verdict == _mask_closure(n)(codes)
+    assert verdict == generates_structural(
+        make_field(2), [_code_matrix(n, c) for c in codes], n)
+
+
+def test_invariant_line_tables_wait_for_the_first_call():
+    src = os.path.dirname(os.path.dirname(genff.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import algen.cli\n"
+         "masks = algen.genff._f2_invariant_masks\n"
+         "print(masks.cache_info().currsize)\n"
+         "algen.genff.f2_generating_pairs(2)\n"
+         "print(masks.cache_info().currsize)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True).stdout
+    assert out.split() == ["0", "1"]
 
 
 def test_closed_forms():

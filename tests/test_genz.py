@@ -304,6 +304,43 @@ def test_conj_invariant_is_conjugation_invariant_mod_p():
 
 
 # ---------------------------------------------------------------------------
+# Extended gcd
+# ---------------------------------------------------------------------------
+
+def _euclid_xgcd(a, b):
+    """Oracle: the extended Euclid loop, with the gcd made nonnegative."""
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
+def test_xgcd_bezout_against_euclid():
+    rng = random.Random(43)
+    cases = [(a, b) for a in range(-7, 8) for b in range(-7, 8)]
+    cases += [(rng.randrange(-2 ** bits, 2 ** bits),
+               rng.randrange(-2 ** bits, 2 ** bits))
+              for bits in (8, 64, 600) for _ in range(200)]
+    cases += [(6, 0), (-6, 0), (0, 6), (0, -6), (12, -18), (-12, -18)]
+    for a, b in cases:
+        x, y, g = genz._xgcd(a, b)
+        ex, ey, eg = _euclid_xgcd(a, b)
+        assert g == eg >= 0
+        assert a * x + b * y == g == a * ex + b * ey
+        if b == 0:
+            assert (x, y) == (ex, ey)
+        else:
+            assert 0 <= x < abs(b // g)
+
+
+# ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
 
