@@ -14,6 +14,7 @@ rounding it and the float conversions make is bounded (see
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
@@ -123,7 +124,7 @@ def sieve_primes(P: int) -> list[int]:
     for i in range(2, math.isqrt(P) + 1):
         if flags[i]:
             flags[i * i::i] = bytes(len(flags[i * i::i]))
-    return [i for i in range(2, P + 1) if flags[i]]
+    return list(itertools.compress(range(P + 1), flags))
 
 
 # ---------------------------------------------------------------------------

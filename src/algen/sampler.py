@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import genff, genz
 from .errors import BadParams, TooLarge
-from .ffalg import is_prime, make_field
+from .ffalg import is_prime, make_field, prime_factors
 from .genff import AlgebraShape, enum_cap
 from .parutil import sharded_sum
 
@@ -200,11 +200,37 @@ def _eval_last_axis(terms, fixed, xs, p: int | None = None):
     return acc
 
 
+# Rows whose row constant is below this bound are counted through its
+# primes: factoring it by trial division then takes at most 512 steps.
+_PRIME_ROUTE_BOUND = 1 << 20
+# Points of the last axis evaluated at once, so that a long row never needs
+# one array of its full length.
+_CHUNK = 1 << 16
+
+
+def _eval_int(terms, point) -> int:
+    """Value at a point given by its first len(point) coordinates; the
+    terms must not involve the others."""
+    v = 0
+    for exps, c in terms:
+        for x, e in zip(point, exps):
+            c *= x ** e
+        v += c
+    return v
+
+
 def exhaustive_poly_density(polys, N: int) -> Fraction:
     """Exact fraction of points x in [-N, N]^n where the values
     f_1(x), ..., f_s(x) generate the unit ideal of Z, i.e. their gcd is 1.
 
     The result is a rational with denominator (2N+1)^n exactly.
+
+    On a row (every variable but the last fixed) the polynomials free of
+    the last variable take integer values; their gcd c is the row
+    constant.  A row with c = 1 counts whole.  For 0 < c < 2^20 the good
+    points of the row are counted by inclusion-exclusion over the
+    squarefree divisors d of c, each term the number of points where d
+    divides every other value.  Other rows take the gcd of every value.
     """
     if N < 0:
         raise BadParams(f"half-width must be >= 0, got {N}")
@@ -218,14 +244,49 @@ def exhaustive_poly_density(polys, N: int) -> Fraction:
             return _exhaustive_bigint(system, nvars, N, total)
     import numpy as np
 
-    xs = np.arange(-N, N + 1, dtype=np.int64)
+    free = [t for t in system if all(e[-1] == 0 for e, _ in t)]
+    rest = [t for t in system if any(e[-1] for e, _ in t)]
+    # the rest's values, and so the count for each d, are the same on
+    # every row when no rest polynomial involves the fixed variables
+    static = all(not any(e[:-1]) for t in rest for e, _ in t)
     count = 0
-    for fixed in itertools.product(range(-N, N + 1), repeat=nvars - 1):
-        g = None
-        for terms in system:
-            vals = np.abs(_eval_last_axis(terms, fixed, xs))
-            g = vals if g is None else np.gcd(g, vals)
-        count += int(np.count_nonzero(g == 1))
+    for lo in range(-N, N + 1, _CHUNK):
+        xs = np.arange(lo, min(lo + _CHUNK, N + 1), dtype=np.int64)
+        vals = None
+        memo: dict[int, int] = {}
+        for fixed in itertools.product(range(-N, N + 1), repeat=nvars - 1):
+            c = 0
+            for terms in free:
+                c = math.gcd(c, _eval_int(terms, fixed))
+            if c == 1:
+                count += len(xs)
+                continue
+            if not rest:
+                continue
+            if vals is None or not static:
+                vals = [_eval_last_axis(t, fixed, xs) for t in rest]
+            if c == 0 or c >= _PRIME_ROUTE_BOUND:
+                g = np.abs(vals[0])
+                for v in vals[1:]:
+                    g = np.gcd(g, np.abs(v))
+                if c:
+                    g = np.gcd(g, c)
+                count += int(np.count_nonzero(g == 1))
+                continue
+            divisors = [(1, 1)]
+            for p in prime_factors(c):
+                divisors += [(d * p, -mu) for d, mu in divisors]
+            count += len(xs)
+            for d, mu in divisors[1:]:
+                n = memo.get(d)
+                if n is None:
+                    hit = vals[0] % d == 0
+                    for v in vals[1:]:
+                        hit &= v % d == 0
+                    n = int(np.count_nonzero(hit))
+                    if static:
+                        memo[d] = n
+                count += mu * n
     return Fraction(count, total)
 
 
@@ -260,13 +321,14 @@ def local_zero_count(polys, p: int, n: int | None = None) -> int:
         raise TooLarge(f"{p ** nvars} points exceed enumeration cap {cap}")
     import numpy as np
 
-    xs = np.arange(p, dtype=np.int64)
     count = 0
-    for fixed in itertools.product(range(p), repeat=nvars - 1):
-        mask = None
-        for terms in system:
-            zero = _eval_last_axis(terms, fixed, xs, p) == 0
-            mask = zero if mask is None else (mask & zero)
-        count += int(np.count_nonzero(mask))
+    for lo in range(0, p, _CHUNK):
+        xs = np.arange(lo, min(lo + _CHUNK, p), dtype=np.int64)
+        for fixed in itertools.product(range(p), repeat=nvars - 1):
+            mask = None
+            for terms in system:
+                zero = _eval_last_axis(terms, fixed, xs, p) == 0
+                mask = zero if mask is None else (mask & zero)
+            count += int(np.count_nonzero(mask))
     return count
 

@@ -156,6 +156,17 @@ def test_sieve():
         sieve_primes(10 ** 8 + 1)
 
 
+def test_sieve_against_trial_division():
+    oracle = [n for n in range(2, 2001)
+              if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    for P in range(2001):
+        got = sieve_primes(P)
+        assert got == [p for p in oracle if p <= P], P
+        assert type(got) is list
+    assert all(type(p) is int for p in sieve_primes(2000))
+    assert len(sieve_primes(10 ** 6)) == 78498
+
+
 def test_den_Zn():
     d = den_Zn(2, 1)
     assert abs(d.value - 6 / math.pi ** 2) <= d.abs_error_bound + 1e-12

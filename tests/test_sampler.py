@@ -1,9 +1,16 @@
+import itertools
+import math
+import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from algen import genff, genz
+from algen import genff, genz, sampler
 from algen.errors import BadParams, TooLarge
 from algen.ffalg import make_field
 from algen.genff import shape_over_Z
@@ -111,8 +118,6 @@ def test_exhaustive_denominator_exact():
 
 def test_exhaustive_brute_oracle():
     # direct loop oracle on a small box
-    import math
-
     N = 6
     count = sum(1 for a in range(-N, N + 1) for b in range(-N, N + 1)
                 if math.gcd(a, b) == 1)
@@ -125,8 +130,6 @@ def test_exhaustive_bigint_path_agrees():
     d1 = exhaustive_poly_density([{(1, 0): big}, X2], 4)
     d2 = exhaustive_poly_density([{(1, 0): 1, (0, 0): 0}, X2], 4)
     # big * a and a generate different ideals; compare against explicit loop
-    import math
-
     count = sum(1 for a in range(-4, 5) for b in range(-4, 5)
                 if math.gcd(big * a, b) == 1)
     assert d1 == Fraction(count, 81)
@@ -149,12 +152,15 @@ def test_local_zero_count():
         local_zero_count([X1, X2], 5, n=3)
 
 
-def test_local_zero_count_brute_oracle():
+def test_local_zero_count_brute_oracle(monkeypatch):
     poly = {(2, 1): 3, (1, 0): 1, (0, 0): 2}
-    for p in (3, 7):
-        count = sum(1 for x in range(p) for y in range(p)
-                    if (3 * x * x * y + x + 2) % p == 0)
-        assert local_zero_count([poly], p) == count
+    # a chunk of 2 points splits every row of the last axis
+    for chunk in (sampler._CHUNK, 2):
+        monkeypatch.setattr(sampler, "_CHUNK", chunk)
+        for p in (3, 7):
+            count = sum(1 for x in range(p) for y in range(p)
+                        if (3 * x * x * y + x + 2) % p == 0)
+            assert local_zero_count([poly], p) == count
 
 
 def test_poly_validation():
@@ -179,3 +185,125 @@ def test_uniform_rejects_ranges_beyond_64_bits():
 def test_exhaustive_rejects_negative_half_width():
     with pytest.raises(BadParams):
         exhaustive_poly_density([X1, X2], -1)
+
+
+# -- the row-constant route against the big-integer loop
+#
+# On a row (all variables but the last fixed) the polynomials free of the
+# last variable have a gcd c.  Rows with c = 1 count whole, 0 < c < 2^20
+# go through the primes of c, and c = 0, c >= 2^20 or no polynomial free
+# of the last variable take the gcd of every value.  Each system below is
+# compared with sampler._exhaustive_bigint, which takes a gcd per point.
+
+COEFFS = (1, -1, 2, -2, 3, 6, 12, 30, 210, 2 ** 21)
+BOX_N = {1: 12, 2: 5, 3: 2}
+
+
+def _system(pick):
+    """1-3 polynomials in 1-3 variables, 1-3 terms each, exponents <= 2;
+    pick(options) chooses one option."""
+    nvars = pick((1, 2, 3))
+    polys = []
+    for _ in range(pick((1, 2, 3))):
+        poly = {}
+        for _ in range(pick((1, 2, 3))):
+            poly[tuple(pick((0, 1, 2)) for _ in range(nvars))] = pick(COEFFS)
+        polys.append(poly)
+    return polys, nvars
+
+
+def _value(poly, point):
+    return sum(c * math.prod(x ** e for x, e in zip(point, exps))
+               for exps, c in poly.items())
+
+
+def _routes(polys, nvars):
+    """Which routes the rows of the box take, found by direct evaluation."""
+    free = [f for f in polys if all(e[-1] == 0 for e in f)]
+    rest = [f for f in polys if any(e[-1] for e in f)]
+    if not free:
+        return {"no free polynomial"}
+    tags = {"no rest"} if not rest else set()
+    if rest:
+        tags.add("rest depends on the row"
+                 if any(any(e[:-1]) for f in rest for e in f)
+                 else "rest fixed")
+    N = BOX_N[nvars]
+    for row in itertools.product(range(-N, N + 1), repeat=nvars - 1):
+        c = math.gcd(*(_value(f, row + (0,)) for f in free))
+        tags.add("c = 0" if c == 0 else "c = 1" if c == 1
+                 else "c >= 2^20" if c >= 2 ** 20 else "primes of c")
+    return tags
+
+
+def _assert_matches_bigint(polys, nvars):
+    N = BOX_N[nvars]
+    system, _ = sampler._normalize_system(polys)
+    assert all(sampler._value_bound(t, N) < 2 ** 62 for t in system)
+    want = sampler._exhaustive_bigint(system, nvars, N, (2 * N + 1) ** nvars)
+    assert exhaustive_poly_density(polys, N) == want, polys
+
+
+@pytest.mark.parametrize("chunk", [sampler._CHUNK, 5])
+def test_row_constant_route_matches_bigint_oracle(monkeypatch, chunk):
+    # a chunk of 5 points splits every row, so the memo runs per chunk
+    monkeypatch.setattr(sampler, "_CHUNK", chunk)
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(300):
+        polys, nvars = _system(rng.choice)
+        _assert_matches_bigint(polys, nvars)
+        seen |= _routes(polys, nvars)
+    assert seen == {"no free polynomial", "no rest", "rest fixed",
+                    "rest depends on the row", "c = 0", "c = 1",
+                    "c >= 2^20", "primes of c"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_row_constant_route_matches_bigint_property(data):
+    _assert_matches_bigint(*_system(lambda opts: data.draw(st.sampled_from(opts))))
+
+
+class _GcdCalled(Exception):
+    pass
+
+
+def test_row_constant_route_skips_the_gcd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _GcdCalled
+
+    monkeypatch.setattr(np, "gcd", refuse)
+    N = 50
+    count = sum(1 for a in range(-N, N + 1) for b in range(-N, N + 1)
+                if math.gcd(a, b) == 1)
+    assert exhaustive_poly_density([X1, X2], N) == Fraction(count, (2 * N + 1) ** 2)
+    # no polynomial is free of the last variable: the gcd route remains
+    with pytest.raises(_GcdCalled):
+        exhaustive_poly_density([{(1, 0): 1, (0, 1): 1},
+                                 {(1, 0): 1, (0, 1): -1}], N)
+
+
+def test_exhaustive_long_row_in_chunks():
+    # one row of 2 * 10^7 + 1 points: a single array of it would take 160 MB
+    N = 10 ** 7
+    tracemalloc.start()
+    try:
+        d = exhaustive_poly_density([{(1,): 1}], N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == Fraction(2, 2 * N + 1)
+    assert peak < 64 * 2 ** 20, peak
+
+
+def test_local_zero_count_long_row_in_chunks():
+    p = 10 ** 7 + 19
+    tracemalloc.start()
+    try:
+        zeros = local_zero_count([{(2,): 1, (0,): -1}], p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert zeros == 2  # x = 1 and x = p - 1
+    assert peak < 64 * 2 ** 20, peak
