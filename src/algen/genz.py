@@ -4,10 +4,16 @@ A tuple generates M_{n_1}(Z)^{m_1} x ... as a Z-algebra iff the lattice
 spanned by all monomials in its entries (including 1) is the full integer
 lattice.  The closure is computed by Noetherian-chain iteration in the
 loop genff._closure, which the F_p closure shares: adjoin left products
-by the generators and re-reduce until the lattice stops growing.  The Hermite normal form of the final lattice certifies the
-outcome; its index is 1 exactly when the tuple generates, and the prime
-factors of the index are the residue characteristics where generation
-fails.
+by the generators and re-reduce until the lattice stops growing.  The
+Hermite normal form of the final lattice certifies the outcome; its
+index is 1 exactly when the tuple generates, and the prime factors of
+the index are the residue characteristics where generation fails.
+
+A pair in M_2(Z) or M_3(Z) needs no closure for the bare verdict: it
+generates iff the rows and the columns of its commutators
+A^k B^l - B^l A^k span Z^n (commutator_lattice_test).  generates_Z_bool
+(Monte Carlo) and the census use that rule there; generates_Z,
+closure_lattice and checkgen keep the closure, which gives the index.
 """
 
 from __future__ import annotations
@@ -190,9 +196,19 @@ def _closure_echelon(shape: AlgebraShape, t) -> _ZEchelon:
 
 
 def generates_Z_bool(shape: AlgebraShape, t) -> bool:
-    """The verdict of generates_Z without the HNF or the factoring: the
-    closure has full rank and its pivots multiply to 1.  HNF reduction
-    leaves the pivots alone, so the verdict is the same."""
+    """The verdict of generates_Z without the HNF or the factoring.
+
+    A pair in M_2(Z) or M_3(Z) (one block (n, 1, 1), n in {2, 3}) is
+    decided by its commutator lattices (commutator_lattice_test), with no
+    closure.  Every other shape and tuple length takes the closure: it
+    has full rank and its pivots multiply to 1.  HNF reduction leaves the
+    pivots alone, so the verdict is that of generates_Z.
+    """
+    if shape.ctx is None and shape.blocks in (((2, 1, 1),), ((3, 1, 1),)):
+        t = genff._check_tuple(shape, t)
+        if len(t) == 2:
+            (A,), (B,) = t
+            return commutator_lattice_test(A, B)
     return _closure_echelon(shape, t).index_if_full() == 1
 
 
@@ -221,12 +237,22 @@ def generates_Z(shape: AlgebraShape, t) -> ZGenReport:
 
 
 # ---------------------------------------------------------------------------
-# Special tests for 2 x 2 matrices
+# Pairs in M_2(Z) and M_3(Z): commutator lattices
 # ---------------------------------------------------------------------------
 
 def _mat2_mul(A, B):
     return (A[0] * B[0] + A[1] * B[2], A[0] * B[1] + A[1] * B[3],
             A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3])
+
+
+def _mat3_mul(A, B):
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = B
+    return (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
+            a0 * b2 + a1 * b5 + a2 * b8, a3 * b0 + a4 * b3 + a5 * b6,
+            a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
+            a6 * b2 + a7 * b5 + a8 * b8)
 
 
 def det_commutator_test(A, B) -> bool:
@@ -237,6 +263,46 @@ def det_commutator_test(A, B) -> bool:
     BA = _mat2_mul(B, A)
     N = tuple(x - y for x, y in zip(AB, BA))
     return N[0] * N[3] - N[1] * N[2] in (1, -1)
+
+
+def _spans_Z3(vecs) -> bool:
+    """Do the vectors span Z^3?  Stops at the first one that makes the
+    index 1."""
+    ech = _ZEchelon(3)
+    for v in vecs:
+        if ech.add(v) and ech.index_if_full() == 1:
+            return True
+    return False
+
+
+def commutator_lattice_test(A, B) -> bool:
+    """True iff the pair (A, B) generates M_n(Z), n in {2, 3}, as a ring.
+
+    With C_kl = A^k B^l - B^l A^k for 1 <= k, l <= n - 1, the pair
+    generates iff the rows of all C_kl span Z^n and so do their columns.
+    Generation over Z is generation mod every prime l.  Over F_l, n
+    prime, a pair that does not generate fixes a line or a hyperplane or
+    commutes.  N = cap ker C_kl mod l is invariant under A and B, which
+    commute on it (Shemesh), so N != 0 exactly when the pair fixes a
+    line or a plane in N or commutes; a common eigenvector lies in N.
+    The transposes give the hyperplanes, as C_kl(A^T, B^T) = -C_kl^T.
+    Rank n mod every l is a Z-span of Z^n.  For n = 2 both conditions
+    say det(AB - BA) = +-1 (det_commutator_test).
+    """
+    if len(A) == 4 and len(B) == 4:
+        return det_commutator_test(A, B)
+    if len(A) != 9 or len(B) != 9:
+        raise UnsupportedSize(
+            "commutator lattice test is for 2x2 and 3x3 matrices")
+    A2 = _mat3_mul(A, A)
+    B2 = _mat3_mul(B, B)
+    comms = []
+    for X in (A, A2):
+        for Y in (B, B2):
+            XY, YX = _mat3_mul(X, Y), _mat3_mul(Y, X)
+            comms.append([x - y for x, y in zip(XY, YX)])
+    return (_spans_Z3(C[i:i + 3] for C in comms for i in (0, 3, 6))
+            and _spans_Z3(C[i::3] for C in comms for i in range(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +457,6 @@ def construct_M2Z16():
 
 def _census_shard(args) -> tuple[int, int]:
     n, lo, hi = args
-    shape = shape_over_Z([(n, 1)])
     mats = [_code_to_zmat(n, c) for c in range(1 << (n * n))]
     gen = 0
     fail = 0
@@ -399,7 +464,7 @@ def _census_shard(args) -> tuple[int, int]:
         if not genff._f2_generates(n, 1, ((a,), (b,))):
             continue
         gen += 2 * size
-        if not generates_Z_bool(shape, [(mats[a],), (mats[b],)]):
+        if not commutator_lattice_test(mats[a], mats[b]):
             fail += 2 * size
     return gen, fail
 
@@ -414,8 +479,10 @@ def zero_one_census(n: int, threads: int = 1) -> tuple[int, int]:
     permutation matrix and transposition of both matrices preserve the
     {0,1} set and generation over F_2 and over Z, so only one pair per
     orbit of this group of order 2 * n! is decided, weighted by the
-    orbit's size.  Shards split the larger code b of the representative,
-    which keeps them balanced; representatives crowd at small a.
+    orbit's size.  A representative that generates mod 2 is decided over
+    Z by commutator_lattice_test, with no closure.  Shards split the
+    larger code b of the representative, which keeps them balanced;
+    representatives crowd at small a.
     """
     if n not in (2, 3):
         raise UnsupportedSize("census covers n in {2, 3}")

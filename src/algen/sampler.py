@@ -24,36 +24,49 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
-    def next64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK64
-        return _mix64(self.state)
+    def draws(self, m: int, count: int) -> list[int]:
+        """count uniform draws from [0, m) by rejection, for 1 <= m <= 2^64.
 
-    def uniform(self, m: int) -> int:
-        """Uniform draw from [0, m) by rejection, for 1 <= m <= 2^64."""
+        The rejection bound is computed once for all of them, and the
+        SplitMix64 step runs inline: this loop is the generator's only
+        implementation.
+        """
         if not 1 <= m <= 1 << 64:
             raise BadParams(f"draw range {m} outside [1, 2^64]")
         bound = (1 << 64) - ((1 << 64) % m)
-        while True:
-            r = self.next64()
-            if r < bound:
-                return r % m
+        # the running sum is reduced mod 2^64 only where it is mixed
+        acc = self.state
+        out = []
+        append = out.append
+        for _ in range(count):
+            while True:
+                acc += _GOLDEN
+                z = acc & _MASK64
+                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                z ^= z >> 31
+                if z < bound:
+                    break
+            append(z % m)
+        self.state = acc & _MASK64
+        return out
+
+    def next64(self) -> int:
+        return self.draws(1 << 64, 1)[0]
 
 
 def substream(seed: int, index: int) -> SplitMix64:
-    return SplitMix64(_mix64(seed ^ ((index + 1) * _GOLDEN & _MASK64)))
+    """The generator of sample index: its state is the SplitMix64 mix of
+    seed XOR ((index + 1) * GOLDEN mod 2^64), which is the first output
+    of a generator one step behind that value."""
+    z = seed ^ ((index + 1) * _GOLDEN & _MASK64)
+    return SplitMix64(SplitMix64(z - _GOLDEN).next64())
 
 
 @dataclass(frozen=True)
@@ -89,14 +102,18 @@ def sample_tuple(shape: AlgebraShape, k: int, box: BoxModel, index: int = 0):
     Coordinates are drawn element by element, slot by slot, row-major,
     from the substream of (box.seed, index).
     """
-    rng = substream(box.seed, index)
-    m = 2 * box.N + 1
+    N = box.N
     sizes = shape.slot_sizes()
+    vals = [v - N for v in
+            substream(box.seed, index).draws(2 * N + 1, k * shape.rank)]
     out = []
+    pos = 0
     for _ in range(k):
         elem = []
         for n in sizes:
-            elem.append(tuple(rng.uniform(m) - box.N for _ in range(n * n)))
+            end = pos + n * n
+            elem.append(tuple(vals[pos:end]))
+            pos = end
         out.append(tuple(elem))
     return tuple(out)
 
@@ -119,9 +136,11 @@ def mc_density(shape: AlgebraShape, k: int, box: BoxModel,
 
     A sample counts as a hit when genz.generates_Z_bool says it
     generates; only the verdict is needed, so no HNF is taken and no
-    index is factored.  A tuple that generates over Z also generates its
-    reduction mod 2, so samples whose reduction fails the F_2 closure are
-    rejected before the Z-closure; no verdict changes.
+    index is factored.  Pairs in M_2(Z) and M_3(Z) are decided by
+    commutator lattices, every other shape and k by the Z-closure.  A
+    tuple that generates over Z also generates its reduction mod 2, so
+    samples whose reduction fails over F_2 are rejected before the
+    Z-decision; no verdict changes.
     """
     if k < 1:
         raise BadParams(f"tuple length k must be positive, got {k}")

@@ -633,6 +633,44 @@ def test_structural_agrees_with_closure_m3_sampled():
         assert generates_structural(f2, [a, b], 3) == generates(shape, [(a,), (b,)])
 
 
+@st.composite
+def _odd_p_tuples(draw):
+    """p in {3, 5}, n in {2, 3} and a pair or triple in M_n(F_p): free, or
+    built to fail (every entry a polynomial in the first, a common line,
+    a common plane)."""
+    p = draw(st.sampled_from([3, 5]))
+    n = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["free", "poly", "line", "plane"]))
+    # entries uniform on F_p: hypothesis's own integers crowd at 0
+    rng = draw(st.randoms(use_true_random=False))
+    mats = [tuple(rng.randrange(p) for _ in range(n * n))
+            for _ in range(draw(st.integers(2, 3)))]
+    ctx = make_field(p)
+    if kind == "poly":
+        A = mats[0]
+        A2 = mat_mul(ctx, n, A, A)
+        eye = ffalg.mat_identity(n)
+        mats = [A] + [tuple((c0 * i + c1 * a + c2 * a2) % p
+                            for i, a, a2 in zip(eye, A, A2))
+                      for c0, c1, c2 in ([rng.randrange(p) for _ in range(3)]
+                                         for _ in mats[1:])]
+    elif kind in ("line", "plane"):
+        mats = [tuple(0 if j % n == 0 and j else x for j, x in enumerate(X))
+                for X in mats]
+        if kind == "plane":
+            mats = [ffalg.mat_transpose(n, X) for X in mats]
+    return ctx, n, mats
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_odd_p_tuples())
+def test_structural_agrees_with_closure_odd_p_property(case):
+    ctx, n, mats = case
+    shape = shape_over_field(ctx, [(n, 1, 1)])
+    assert generates_structural(ctx, mats, n) == generates(
+        shape, [(X,) for X in mats])
+
+
 def _field_subalgebras_m2(q):
     """Brute enumeration of 2-dimensional subalgebras of M_2(F_q) that are
     fields: spans {1, x} closed under multiplication with no zero divisors."""

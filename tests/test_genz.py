@@ -5,12 +5,15 @@ import random
 
 import pytest
 from conjugacy import are_conjugate_tuples
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algen import ffalg, genff, genz, sampler
 from algen.errors import BadParams, FactorizationIncomplete, UnsupportedSize
 from algen.genff import f2_generating_pairs, shape_over_Z, shape_over_field
 from algen.genz import (
     closure_lattice,
+    commutator_lattice_test,
     construct_M2Z16,
     det_commutator_test,
     factor_index,
@@ -560,6 +563,135 @@ def test_generates_Z_bool_matches_certificate():
         assert verdict == generates_Z(SHAPE3, t).generates
         hits += verdict
     assert 0 < hits < 200
+
+
+# -- M_2(Z) and M_3(Z) pairs: the commutator lattices against the closure
+#
+# generates_Z_bool decides a pair in one M_2(Z) or M_3(Z) block by the
+# rows and columns of its commutators A^k B^l - B^l A^k; the Z-closure is
+# the oracle.
+
+def _closure_generates(shape, t):
+    return genz._closure_echelon(shape, t).index_if_full() == 1
+
+
+def _assert_rule_matches_closure(A, B):
+    n = 2 if len(A) == 4 else 3
+    shape = SHAPE2 if n == 2 else SHAPE3
+    t = [(A,), (B,)]
+    verdict = commutator_lattice_test(A, B)
+    assert verdict == generates_Z_bool(shape, t) == _closure_generates(shape, t), (A, B)
+    return verdict
+
+
+def test_commutator_rule_on_every_census_pair():
+    # every representative that generates mod 2, as census sends it over Z
+    mats = [genz._code_to_zmat(3, c) for c in range(512)]
+    decided = failed = 0
+    for a, b, _size in genff.f2_pair_classes(3, 0, 512):
+        if genff._f2_generates(3, 1, ((a,), (b,))):
+            decided += 1
+            failed += not _assert_rule_matches_closure(mats[a], mats[b])
+    assert decided == 5888 and 0 < failed < decided
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 200, 10 ** 18])
+def test_commutator_rule_on_seeded_pairs(N):
+    verdicts = set()
+    for shape in (SHAPE2, SHAPE3):
+        box = sampler.BoxModel(N, 2026)
+        for i in range(100):
+            (A,), (B,) = sampler.sample_tuple(shape, 2, box, i)
+            verdicts.add(_assert_rule_matches_closure(A, B))
+    assert verdicts == {False, True}
+
+
+def _mat_mul_Z(n, A, B):
+    return tuple(sum(A[i * n + t] * B[t * n + j] for t in range(n))
+                 for i in range(n) for j in range(n))
+
+
+def _built_failures(rng, n):
+    """Pairs that cannot generate M_n(Z), one of each kind."""
+    def rand():
+        return tuple(rng.randint(-9, 9) for _ in range(n * n))
+
+    eye = ffalg.mat_identity(n)
+    A = rand()
+    A2 = _mat_mul_Z(n, A, A)
+    c = [rng.randint(-5, 5) for _ in range(3)]
+    poly = tuple(c[0] * i + c[1] * a + c[2] * a2 for i, a, a2 in zip(eye, A, A2))
+    # e_1 is a common eigenvector: column 0 is zero below the diagonal
+    line = [tuple(0 if j % n == 0 and j else x for j, x in enumerate(rand()))
+            for _ in range(2)]
+    plane = [ffalg.mat_transpose(n, X) for X in line]
+    ell = rng.choice([2, 3, 5, 7])
+    lam = rng.randint(-3, 3)
+    scalar_mod_ell = tuple(lam * i + ell * x for i, x in zip(eye, rand()))
+    return [(A, poly), (A, A2), tuple(line), tuple(plane),
+            (A, tuple(lam * x for x in A)), (scalar_mod_ell, rand())]
+
+
+def test_commutator_rule_on_built_failures():
+    rng = random.Random(151)
+    for _ in range(20):
+        for n in (2, 3):
+            for A, B in _built_failures(rng, n):
+                assert not _assert_rule_matches_closure(A, B)
+                assert not _assert_rule_matches_closure(B, A)
+    # the remark's pair fails only mod 3, with index 9
+    assert closure_lattice(SHAPE3, [(REMARK_A,), (REMARK_B,)]).index == 9
+    assert not _assert_rule_matches_closure(REMARK_A, REMARK_B)
+
+
+def test_commutator_rule_only_for_pairs_in_one_block(monkeypatch):
+    # triples, M_3(Z)^2 and M_2(Z) x Z keep the closure
+    calls = []
+    closure = genz._closure_echelon
+    monkeypatch.setattr(genz, "_closure_echelon",
+                        lambda *args: calls.append(1) or closure(*args))
+    E = (1, 0, 0, 0, 0, 0, 0, 0, 0)
+    generates_Z_bool(SHAPE3, [(REMARK_A,), (REMARK_B,)])
+    generates_Z_bool(SHAPE2, [(E12,), (E21,)])
+    assert not calls
+    generates_Z_bool(SHAPE3, [(REMARK_A,), (REMARK_B,), (E,)])
+    generates_Z_bool(shape_over_Z([(3, 2)]),
+                     [(REMARK_A, REMARK_B), (REMARK_B, REMARK_A)])
+    generates_Z_bool(shape_over_Z([(1, 1), (2, 1)]), [((1,), E12), ((0,), E21)])
+    assert len(calls) == 3
+    with pytest.raises(UnsupportedSize):
+        commutator_lattice_test((1,) * 16, (0,) * 16)
+
+
+@st.composite
+def _integer_pairs(draw):
+    """A pair in M_2(Z) or M_3(Z): free, or built to fail (B a polynomial
+    in A, a common line, a common plane, A scalar mod a prime)."""
+    n = draw(st.sampled_from([2, 3]))
+    bound = draw(st.sampled_from([1, 3, 50, 10 ** 12]))
+    kind = draw(st.sampled_from(["free", "poly", "line", "plane", "scalar"]))
+    # entries uniform on [-bound, bound]: hypothesis's own integers crowd at 0
+    rng = draw(st.randoms(use_true_random=False))
+    A, B = (tuple(rng.randint(-bound, bound) for _ in range(n * n))
+            for _ in range(2))
+    if kind == "poly":
+        c0, c1 = rng.randint(-3, 3), rng.randint(-3, 3)
+        B = tuple(c0 * i + c1 * a for i, a in zip(ffalg.mat_identity(n), A))
+    elif kind in ("line", "plane"):
+        A, B = (tuple(0 if j % n == 0 and j else x for j, x in enumerate(X))
+                for X in (A, B))
+        if kind == "plane":
+            A, B = ffalg.mat_transpose(n, A), ffalg.mat_transpose(n, B)
+    elif kind == "scalar":
+        ell = rng.choice([2, 3, 5])
+        A = tuple(i + ell * a for i, a in zip(ffalg.mat_identity(n), A))
+    return A, B
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_integer_pairs())
+def test_commutator_rule_property(pair):
+    _assert_rule_matches_closure(*pair)
 
 
 def _random_integer_matrices(seed, count):

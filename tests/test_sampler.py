@@ -45,6 +45,30 @@ def test_splitmix_determinism():
     assert substream(42, 0).next64() != substream(42, 1).next64()
 
 
+def test_splitmix_pinned_draws():
+    # the published SplitMix64 outputs for seed 0
+    rng = SplitMix64(0)
+    assert [rng.next64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert substream(42, 0).next64() == 6332618229526065668
+    assert substream(42, 1).next64() == 3480922969410067931
+    # m = 2^63 + 1 rejects about half of the 64-bit outputs; one call and
+    # six calls make the same stream
+    want = [7191089600892374487, 309689372594955804, 8346079845500723674,
+            4601199455465548305, 8632209307422871798, 6051947643683389182]
+    rng = SplitMix64(7)
+    assert rng.draws(2 ** 63 + 1, 6) == want
+    steps = (rng.state - 7) * pow(sampler._GOLDEN, -1, 2 ** 64) % 2 ** 64
+    assert steps > 6
+    rng = SplitMix64(7)
+    assert [rng.draws(2 ** 63 + 1, 1)[0] for _ in range(6)] == want
+    assert sample_tuple(shape_over_Z([(3, 1)]), 2, BoxModel(200, 1), 0) == (
+        ((34, -146, 22, 93, 140, -7, 46, -84, 160),),
+        ((-27, -136, -145, -121, 129, 177, 68, -140, -21),))
+    assert sample_tuple(shape_over_Z([(2, 2)]), 1, BoxModel(3, 5), 9) == (
+        ((2, -1, -1, -3), (-1, 1, -1, 2)),)
+
+
 def test_sample_tuple_point_box():
     t = sample_tuple(SHAPE2, 2, BoxModel(0, 123))
     assert t == (((0, 0, 0, 0),), ((0, 0, 0, 0),))
@@ -85,17 +109,21 @@ def test_mc_density_threads_deterministic():
 
 @pytest.mark.parametrize("shape, k, box", SCREEN_SLICES)
 def test_mc_screen_matches_unscreened_oracle(shape, k, box):
-    # hits equal the unscreened Z-decision, and every sample the mod-2
-    # screen rejects has a closure index that is 0 or even
+    # hits equal the unscreened Z-decision, which equals the closure's,
+    # and every sample the mod-2 screen rejects has a closure index that
+    # is 0 or even
     shape2 = genff.shape_over_field(make_field(2), shape.blocks)
     hits = rejected = 0
     for i in range(box.samples):
         t = sample_tuple(shape, k, box, i)
-        hits += genz.generates_Z_bool(shape, t)
+        verdict = genz.generates_Z_bool(shape, t)
+        index = genz.closure_lattice(shape, t).index
+        assert verdict == (index == 1), i
+        hits += verdict
         if not genff.generates(shape2, [[[v % 2 for v in mat] for mat in elem]
                                         for elem in t]):
             rejected += 1
-            assert genz.closure_lattice(shape, t).index % 2 == 0, i
+            assert index % 2 == 0, i
     assert mc_density(shape, k, box).hits == hits
     assert 0 < rejected < box.samples
 
@@ -173,10 +201,10 @@ def test_poly_validation():
 def test_uniform_rejects_ranges_beyond_64_bits():
     rng = SplitMix64(1)
     with pytest.raises(BadParams):
-        rng.uniform(2 ** 64 + 1)
+        rng.draws(2 ** 64 + 1, 1)
     with pytest.raises(BadParams):
-        rng.uniform(0)
-    assert 0 <= rng.uniform(2 ** 64) < 2 ** 64
+        rng.draws(0, 3)
+    assert 0 <= rng.draws(2 ** 64, 1)[0] < 2 ** 64
     with pytest.raises(BadParams):
         BoxModel(2 ** 63, 1)
     assert BoxModel(2 ** 63 - 1, 1).N == 2 ** 63 - 1
