@@ -5,14 +5,17 @@ the partial sum H_M of its series plus the midpoint of the two integrals
 that bracket the rest, and the half-width of that bracket is its bound;
 H_M is evaluated in exact rationals by Euler-Maclaurin and rounded once.
 An Euler product is truncated at a prime bound P, with an integral bound
-on the discarded log-tail.  Decimal arithmetic runs at 30 significant
-digits, in a local context that leaves the caller's precision alone; the
-rounding it and the float conversions make is bounded (see
-`_certified`) and covered by the 1e-15 added to every printed bound.
+on the discarded log-tail; den_matrix(3, k) multiplies its largest factors
+exactly and sums the logarithms of the rest in binary64.  Decimal
+arithmetic runs at 30 significant digits, in a local context that leaves
+the caller's precision alone; the rounding it, the binary64 sum and the
+float conversions make is bounded (see `_certified`) and covered by the
+1e-15 added to every printed bound.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -79,15 +82,19 @@ def _at_working_precision(fn):
 # its relative error is at most u = 5e-30; a power x**j, done by squaring
 # and multiplying, counts as 2 * bitlen(j) operations.  A quantity reached
 # from exact inputs through N operations is then within relative error
-# rho(N) = N u / (1 - N u) >= (1 + u)^N - 1 of its exact value.  A
-# density is a product of such factors, and its bound is built from the
-# same factors, so rounding moves the value by at most rho(N) |value| and
-# the bound by at most rho(N) (|value| + bound).  Converting both to floats
-# and adding the slack cost 2^-53 relatively each.  The 1e-15 added to every
-# printed bound therefore covers all rounding whenever
-#     (2 rho(N) + 2^-52) (|value| + bound) <= 1e-15 (1 - 2^-53).
-# At MAX_SIEVE (about 1.2e7 operations) rho(N) < 1e-22, so this holds
-# whenever |value| + bound < 4.5; every density and zeta value is far below.
+# rho(N) = N u / (1 - N u) >= (1 + u)^N - 1 of its exact value.  A factor
+# may also carry a relative error eta from outside the Decimal context
+# (the binary64 tail of den_matrix(3, k), see _log_tail_error); together
+# the two give rho' = (1 + rho(N)) (1 + eta) - 1.  A density is a product
+# of such factors, and its bound is built from the same factors, so
+# rounding moves the value by at most rho' |value| and the bound by at
+# most rho' (|value| + bound).  Converting both to floats and adding the
+# slack cost 2^-53 relatively each.  The 1e-15 added to every printed
+# bound therefore covers all rounding whenever
+#     (2 rho' + 2^-52) (|value| + bound) <= 1e-15 (1 - 2^-53).
+# At MAX_SIEVE (about 1.2e7 operations) rho(N) < 1e-22, and eta stays
+# below 3e-19 for every den_matrix(3, k), so this holds whenever
+# |value| + bound < 4.49; every density and zeta value is far below.
 
 _SLACK = 1e-15
 _UNIT = Fraction(5, 10 ** 30)
@@ -100,31 +107,47 @@ def _power_ops(j: int) -> int:
     return 2 * abs(j).bit_length()
 
 
-def _certified(value: Decimal, err: Decimal, ops: int, P: int | None,
-               method: str) -> DensityValue:
-    """Round value and bound to floats, the bound raised by the 1e-15 slack;
-    refused when ops operations could round by more than the slack covers."""
+def _rounding_allowance(ops: int, rel: Fraction) -> Fraction | None:
+    """rho' for ops Decimal operations and an outside relative error rel;
+    None when ops u reaches 1 and rho(N) is unbounded."""
     nu = ops * _UNIT
-    if nu >= 1 or (2 * nu / (1 - nu) + Fraction(1, 2 ** 52)) * (
+    if nu >= 1:
+        return None
+    return (1 + nu / (1 - nu)) * (1 + rel) - 1
+
+
+def _certified(value: Decimal, err: Decimal, ops: int, P: int | None,
+               method: str, rel: Fraction = Fraction(0)) -> DensityValue:
+    """Round value and bound to floats, the bound raised by the 1e-15 slack;
+    refused when ops operations and the relative error rel could round by
+    more than the slack covers."""
+    rho = _rounding_allowance(ops, rel)
+    if rho is None or (2 * rho + Fraction(1, 2 ** 52)) * (
             abs(Fraction(value)) + Fraction(err)) > Fraction(_SLACK) * (
             1 - Fraction(1, 2 ** 53)):
-        raise BadParams(f"rounding of {ops} decimal operations is not "
-                        f"covered by the {_SLACK} slack")
+        raise BadParams(f"rounding of {ops} decimal operations and a "
+                        f"relative error {float(rel):.3g} is not covered "
+                        f"by the {_SLACK} slack")
     return DensityValue(float(value), float(err) + _SLACK, P, method)
 
 
 def sieve_primes(P: int) -> list[int]:
-    """Primes <= P by Eratosthenes; refused above the sieve cap."""
+    """Primes <= P by Eratosthenes over the odd numbers; refused above the
+    sieve cap."""
     if P > MAX_SIEVE:
         raise BadParams(f"prime bound {P} above sieve cap {MAX_SIEVE}")
     if P < 2:
         return []
-    flags = bytearray([1]) * (P + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, math.isqrt(P) + 1):
+    # flags[i] stands for the odd number 2i + 1
+    half = (P + 1) // 2
+    flags = bytearray([1]) * half
+    flags[0] = 0
+    for i in range(1, (math.isqrt(P) + 1) // 2):
         if flags[i]:
-            flags[i * i::i] = bytes(len(flags[i * i::i]))
-    return list(itertools.compress(range(P + 1), flags))
+            p = 2 * i + 1
+            start = p * p // 2
+            flags[start::p] = bytes((half - 1 - start) // p + 1)
+    return [2, *itertools.compress(range(1, P + 1, 2), flags)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +287,6 @@ def den_Zn(k: int, n: int, eps: float = PRODUCT_EPS) -> DensityValue:
     return _certified(value, err, ops, None, EXACT_ZETA)
 
 
-@_at_working_precision
 def den_matrix(n: int, k: int, P: int = 10 ** 5,
                eps: float = PRODUCT_EPS) -> DensityValue:
     """Density of k-tuples generating M_n(Z), n in {2, 3}.
@@ -281,26 +303,134 @@ def den_matrix(n: int, k: int, P: int = 10 ** 5,
         raise BadParams("need k >= 2")
     if n == 2:
         return den_Zn(k, 2, eps)
+    value, err, ops, rel = _den_matrix3(k, P, eps)
+    return _certified(value, err, ops, P, EULER_TRUNCATION, rel)
+
+
+# ---------------------------------------------------------------------------
+# The den_matrix(3, k) product: an exact head and a binary64 log tail
+# ---------------------------------------------------------------------------
+# The factor at p is 1 + x_p with x_p = phi_k(p) / p^(3k-2), and
+# |x_p| <= C p^-e for C = sum |coeffs of phi_k| and e = 3k - 2 - deg phi_k,
+# the pair that also certifies the truncation at P.  The few primes with
+# C p^-e > 2^-20 (26 for k = 2, 40 for k = 3, none once k >= 23) keep the
+# Decimal factor, two operations each.  Every other p <= P contributes
+# log(1 + x_p), taken as t_p = x - x^2/2 + x^3/3 in binary64; math.fsum
+# adds them into S, and the head is multiplied by exp(S) in Decimals.
+# _log_tail_error bounds what this costs against the exact product as a
+# relative error eta, which _certified covers with the 1e-15 slack beside
+# the Decimal rounding.  eta is below 3e-19 (at k = 3) and the error it
+# bounds is smaller still, far under the 15th digit the CLI prints, so the
+# printed value and bound are those of the all-Decimal product.
+# Primes with C p^-e < 2^-1100 are skipped: their term evaluates to 0.0,
+# so S is the same, and from k = 200 on only primes below 46 are left.
+
+_HEAD_LOG2 = 20
+_ZERO_LOG2 = 1100
+
+
+def _log_series_sum(coeffs: list[float], primes) -> float:
+    """fsum over p of t_p = x - x^2/2 + x^3/3 in binary64, with x the
+    Horner value at r = 1.0/p of sum_i coeffs[i] r^(len(coeffs) - 1 - i).
+
+    With phi_k's coefficients (low degree first) followed by e zeros as
+    coeffs, x is phi_k(p)/p^(3k-2): Horner on the reversed phi_k, then e
+    multiplications by r (adding 0.0 is exact).  Only IEEE +, -, * and /
+    are used, the model _log_tail_error assumes.
+    """
+    first, *rest = coeffs
+
+    def terms():
+        for p in primes:
+            r = 1.0 / p
+            x = first
+            for c in rest:
+                x = x * r + c
+            yield x + x * x * (x / 3.0 - 0.5)
+
+    return math.fsum(terms())
+
+
+def _root_floor(n: int, e: int) -> int:
+    """The largest x with x^e <= n, for n >= 1."""
+    lo, hi = 1, 1 << (n.bit_length() // e + 1)  # lo^e <= n < hi^e
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** e <= n else (lo, mid)
+    return lo
+
+
+def _power_sum_bound(Q: int, s: int) -> Fraction:
+    """sum_{n >= Q} n^-s <= Q^-s + int_Q^inf t^-s dt, for s > 1."""
+    return Fraction(1, Q ** s) + Fraction(1, (s - 1) * Q ** (s - 1))
+
+
+def _log_tail_error(S: float, C: int, e: int, steps: int, Q: int,
+                    count: int) -> Fraction:
+    """A bound eta on |exp(S) / prod (1 + x_p) - 1| over the count primes
+    p >= Q of the float tail, all with |x_p| <= C p^-e <= 2^-20, when S is
+    _log_series_sum over coefficients with steps Horner steps.
+
+    Model (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, sections 2.2 and 3.1): fl(a op b) = (a op b)(1 + d) + h with
+    |d| <= u = 2^-53, |h| <= 2^-1075, and h = 0 for + and -.  With
+    gamma_m = m u / (1 - m u), for each term:
+    * r = 1.0/p is off by one d, and Horner's bound gives
+      |x_hat - x| <= gamma_(3 steps) sum |c_i| p^(i-3k+2) <= gamma_(3 steps) C p^-e;
+    * the series rounds at most 2u |x_hat| more, and moves an error in x
+      by a factor at most 1 + 2^-19 (its derivative is 1 - x + x^2); so
+      |t_hat - t(x)| <= (1 + 2^-19) gamma_m C p^-e with m = 3 steps + 2;
+    * the Taylor remainder is |t(x) - log(1 + x)| <= |x|^4 / (4 (1 - |x|));
+    * fewer than m operations underflow, 2^-1075 each, scaled by at most
+      2 later: m 2^-1074.  That also covers a prime past the 2^-1100 cut,
+      whose log(1 + x_p) < 2^-1099 is dropped.
+    math.fsum rounds the exact sum of the t_hat once: |S|/(2^53 - 1).
+    Summed with _power_sum_bound this gives dS >= |S - sum log(1 + x_p)|,
+    and |exp(dS) - 1| <= dS (1 + dS) since dS <= 1.
+    """
+    m = 3 * steps + 2
+    gamma = Fraction(m, 2 ** 53 - m)
+    dS = (Fraction(abs(S)) / (2 ** 53 - 1)
+          + (1 + Fraction(1, 2 ** 19)) * gamma * C * _power_sum_bound(Q, e)
+          + C ** 4 * _power_sum_bound(Q, 4 * e)
+          / (4 * (1 - Fraction(1, 2 ** _HEAD_LOG2)))
+          + Fraction(count * m, 2 ** 1074))
+    return dS * (1 + dS)
+
+
+@_at_working_precision
+def _den_matrix3(k: int, P: int, eps: float):
+    """(value, bound, Decimal operations, relative error of the float tail)
+    of den_matrix(3, k), for _certified."""
     phi = phi_poly(k)
     exp = 3 * k - 2
     pairs, ops = _inverse_zetas((2 * k - 2, k), eps)
     primes = sieve_primes(P)
-    prod = Decimal(1)
-    for p in primes:
-        pk = p ** exp
-        prod *= Decimal(pk + poly_eval(phi, p)) / Decimal(pk)
     # |phi_k(p)| / p^(3k-2) <= C p^-e with C = sum |coeffs|, e = 3k-2-deg
     C = sum(abs(c) for c in phi)
     e = exp - poly_degree(phi)
     assert e >= 2
     if C * Decimal(P) ** (-e) > Decimal("0.5"):
         raise BadParams(f"prime bound {P} too small to certify the tail")
+    # the head: C p^-e > 2^-20; skipped after the cut: C p^-e < 2^-1100
+    head = bisect.bisect_right(primes, _root_floor((C << _HEAD_LOG2) - 1, e))
+    cut = bisect.bisect_right(primes, _root_floor(C << _ZERO_LOG2, e), head)
+    prod = Decimal(1)
+    for p in primes[:head]:
+        pk = p ** exp
+        prod *= Decimal(pk + poly_eval(phi, p)) / Decimal(pk)
+    S = _log_series_sum([float(c) for c in phi] + [0.0] * e,
+                        itertools.islice(primes, head, cut))
+    prod *= Decimal(S).exp()
+    rel = (_log_tail_error(S, C, e, exp, primes[head], len(primes) - head)
+           if head < len(primes) else Fraction(0))
     tail_log = 2 * C * Decimal(P) ** (1 - e) / (e - 1)
     pairs.append((prod, prod * (tail_log.exp() - 1)))
     value, err = _product_with_errors(pairs)
-    # a division and a product per prime; the tail's power and 5 more
-    ops += 2 * len(primes) + _FACTOR_OPS + _power_ops(1 - e) + 5
-    return _certified(value, err, ops, P, EULER_TRUNCATION)
+    # a division and a product per head prime, exp(S) and its product, the
+    # tail's power and 5 more
+    ops += 2 * head + 2 + _FACTOR_OPS + _power_ops(1 - e) + 5
+    return value, err, ops, rel
 
 
 @_at_working_precision

@@ -3,7 +3,6 @@ per criterion, one printed PASS/FAIL line each."""
 
 import itertools
 import math
-import random
 import time
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -12,6 +11,7 @@ from algen import density, ffalg, genff, genz, polys, sampler
 from algen.genff import shape_over_field, shape_over_Z
 
 from conftest import ACCEPTANCE_LINES
+from seededpairs import m2z_pairs_with_closure_verdicts
 
 getcontext().prec = 30
 
@@ -189,14 +189,10 @@ def test_criterion_10_polynomial_suite():
 def test_criterion_11_property_suites():
     t0 = time.time()
     shape2z = shape_over_Z([(2, 1)])
-    rng = random.Random(20260808)
-    det_ok = all(
-        genz.det_commutator_test(A, B)
-        == genz.generates_Z(shape2z, [(A,), (B,)]).generates
-        for A, B in (
-            (tuple(rng.randrange(-5, 6) for _ in range(4)),
-             tuple(rng.randrange(-5, 6) for _ in range(4)))
-            for _ in range(10_000)))
+    # the closure verdicts are shared with test_genz's seeded suite
+    pairs = m2z_pairs_with_closure_verdicts()
+    det_ok = len(pairs) == 10_000 and all(
+        genz.det_commutator_test(A, B) == generates for A, B, generates in pairs)
 
     struct_ok = True
     f2 = ffalg.make_field(2)

@@ -20,6 +20,7 @@ from algen.density import (
 )
 from algen.errors import BadParams, DivergentTail
 from algen.genff import g_closed_form
+from algen.polys import phi_poly, poly_degree, poly_eval
 
 # reference value computed independently via the alternating series
 # zeta(3) = (1 - 2^-2)^-1 * sum (-1)^(n+1) n^-3 (error below 1e-13 at 10^5 terms)
@@ -146,6 +147,103 @@ def test_rounding_slack_refuses_what_it_cannot_cover():
         density._certified(Decimal(1), Decimal(0), 10 ** 29, None, "m")
     with pytest.raises(BadParams):  # 2^-52 of 5 is more than 1e-15
         density._certified(Decimal(4), Decimal(1), 1, None, "m")
+
+
+def test_rounding_slack_covers_the_float_tail():
+    # eta of den_matrix(3, k) stays below 3e-19 (largest at k = 3) ...
+    etas = {k: density._den_matrix3(k, 10 ** 4, 1e-10)[3] for k in range(2, 31)}
+    assert max(etas.values()) == etas[3] < Fraction(3, 10 ** 19)
+    assert all(etas[k] > 0 for k in etas)
+    # ... which the slack covers beside the Decimal rounding at MAX_SIEVE,
+    # up to |value| + bound = 4.49
+    at_max_sieve = 2 * 5761455 + 1000
+    eta = Fraction(3, 10 ** 19)
+    for v, e in [(Decimal(1), Decimal(1)), (Decimal("4.49"), Decimal(0))]:
+        d = density._certified(v, e, at_max_sieve, None, "m", eta)
+        assert (d.value, d.abs_error_bound) == (float(v), float(e) + 1e-15)
+    # a relative error beyond the slack is refused, where ops alone pass
+    with pytest.raises(BadParams):
+        density._certified(Decimal("4.49"), Decimal(0), at_max_sieve, None,
+                           "m", Fraction(1, 10 ** 18))
+    density._certified(Decimal(1), Decimal(1), 1, None, "m",
+                       Fraction(1, 10 ** 16))
+    with pytest.raises(BadParams):
+        density._certified(Decimal(1), Decimal(1), 1, None, "m",
+                           Fraction(2, 10 ** 16))
+
+
+def _den_matrix3_all_decimal(k, P, eps=density.PRODUCT_EPS):
+    """Oracle: den_matrix(3, k) as one Decimal division and product per
+    prime, the loop it ran before its float tail, here at 60 digits on the
+    same 30-digit zeta factors.  (value, bound, operation count), the
+    fixed operations outside the loop counted as 100, more than they are."""
+    pairs, ops = density._inverse_zetas((2 * k - 2, k), eps)
+    with localcontext(Context(prec=60)):
+        phi = phi_poly(k)
+        exp = 3 * k - 2
+        primes = sieve_primes(P)
+        prod = Decimal(1)
+        for p in primes:
+            pk = p ** exp
+            prod *= Decimal(pk + poly_eval(phi, p)) / Decimal(pk)
+        C = sum(abs(c) for c in phi)
+        e = exp - poly_degree(phi)
+        if C * Decimal(P) ** (-e) > Decimal("0.5"):
+            raise BadParams("prime bound too small")
+        tail_log = 2 * C * Decimal(P) ** (1 - e) / (e - 1)
+        pairs.append((prod, prod * (tail_log.exp() - 1)))
+        value, err = density._product_with_errors(pairs)
+    return value, err, 2 * len(primes) + 100
+
+
+def test_den_matrix3_against_all_decimal_oracle():
+    for k in (2, 3, 4, 5, 10):
+        for P in (2, 97, 101, 997, 1009, 10 ** 4, 10 ** 5):
+            try:
+                want, want_err, oracle_ops = _den_matrix3_all_decimal(k, P)
+            except BadParams:  # C 2^-e > 1/2 at k = 3, P = 2
+                with pytest.raises(BadParams):
+                    den_matrix(3, k, P)
+                continue
+            value, err, ops, rel = density._den_matrix3(k, P, 1e-10)
+            rho = density._rounding_allowance(ops, rel)
+            # both within their allowance of the exact product of the same
+            # zeta factors; the oracle's 60-digit rounding is 2 N 5e-60
+            rho60 = Fraction(2 * oracle_ops * 5, 10 ** 60)
+            assert abs(Fraction(value) - Fraction(want)) <= (
+                (rho + rho60) * abs(Fraction(value)) * (1 + 2 * rho)), (k, P)
+            d = den_matrix(3, k, P)
+            assert d.value == float(want), (k, P)
+            assert d.abs_error_bound == float(want_err) + 1e-15, (k, P)
+
+
+def test_den_matrix3_large_k_visits_few_primes(monkeypatch):
+    seen = []
+    real = density._log_series_sum
+
+    def spy(coeffs, primes):
+        primes = list(primes)
+        seen.append(primes)
+        return real(coeffs, primes)
+
+    monkeypatch.setattr(density, "_log_series_sum", spy)
+    # k = 200: |x_p| <= 7 p^-200, all in the float tail; from p = 47 on,
+    # 7 p^-200 < 2^-1100 and the term is not computed
+    d = den_matrix(3, 200, 10 ** 6)
+    assert (d.value, d.abs_error_bound) == (1.0, 1e-15)
+    assert seen == [sieve_primes(43)] and len(seen[0]) == 14
+    # the skipped terms evaluate to 0.0, so the sum is unchanged
+    for k in (100, 200):
+        coeffs = [float(c) for c in phi_poly(k)] + [0.0] * k
+        primes = sieve_primes(10 ** 4)
+        kept = [p for p in primes if p ** k <= 7 << 1100]
+        dropped = primes[len(kept):]
+        assert kept == primes[:len(kept)] and len(dropped) > 800, k
+        assert all(real(coeffs, [p]) == 0.0 for p in dropped), k
+        assert real(coeffs, primes) == real(coeffs, kept), k
+        seen.clear()
+        density._den_matrix3(k, 10 ** 4, 1e-10)
+        assert seen == [kept], k
 
 
 def test_sieve():

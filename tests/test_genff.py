@@ -143,6 +143,42 @@ def test_closure_against_word_span_oracle():
         assert generates(shape, t) == _naive_word_span_generates(shape, t)
 
 
+@st.composite
+def _word_span_cases(draw):
+    """A shape (n, s, m) over F_2, F_3, F_4 or F_4 over F_2 with n, m <= 2,
+    and one or two elements: free, with equal coordinates (inside the
+    diagonal of a power), or scalar in every coordinate (commutative)."""
+    q, s = draw(st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2)]))
+    p, e = ffalg.prime_power_split(q)
+    ctx = make_field(p, e)
+    n = draw(st.sampled_from([1, 2]))
+    m = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["free", "equal", "scalar"]))
+    # entries uniform on the field: hypothesis's own integers crowd at 0
+    rng = draw(st.randoms(use_true_random=False))
+    qs = ctx.q ** s
+
+    def matrix():
+        if kind == "scalar":
+            a = rng.randrange(qs)
+            return tuple(a if i % (n + 1) == 0 else 0 for i in range(n * n))
+        return tuple(rng.randrange(qs) for _ in range(n * n))
+
+    t = []
+    for _ in range(draw(st.integers(1, 2))):
+        coords = (matrix(),) * m if kind == "equal" else tuple(
+            matrix() for _ in range(m))
+        t.append(coords)
+    return shape_over_field(ctx, [(n, s, m)]), t
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_word_span_cases())
+def test_closure_against_word_span_oracle_property(case):
+    shape, t = case
+    assert generates(shape, t) == _naive_word_span_generates(shape, t)
+
+
 def test_closure_against_matrix_closure_oracle():
     # (q, blocks): F_2 with n = 4 (the mask closure, no row tables), F_3,
     # F_4, F_8 and F_9 as base fields (recoded over F_p with x 1), F_4, F_8

@@ -7,6 +7,7 @@ import pytest
 from conjugacy import are_conjugate_tuples
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from seededpairs import m2z_pairs_with_closure_verdicts
 
 from algen import ffalg, genff, genz, sampler
 from algen.errors import BadParams, FactorizationIncomplete, UnsupportedSize
@@ -221,11 +222,10 @@ def test_det_commutator_examples():
 
 
 def test_det_commutator_equals_closure_seeded():
-    rng = random.Random(20260808)
-    for _ in range(10_000):
-        A = tuple(rng.randrange(-5, 6) for _ in range(4))
-        B = tuple(rng.randrange(-5, 6) for _ in range(4))
-        assert det_commutator_test(A, B) == generates_Z(SHAPE2, [(A,), (B,)]).generates
+    pairs = m2z_pairs_with_closure_verdicts()
+    assert len(pairs) == 10_000
+    for A, B, generates in pairs:
+        assert det_commutator_test(A, B) == generates
 
 
 def conj_invariant(X, Y):
