@@ -18,12 +18,7 @@ from .errors import (
     DivisionByZero,
     FactorizationIncomplete,
     NonPrime,
-    TooLarge,
 )
-
-# Sweeps over GL_n are refused above this group order unless the caller
-# raises the cap explicitly.
-CONJUGACY_CAP = 10_000
 
 # Enumeration entry points never accept matrices larger than this.
 MAX_ENUM_N = 8
@@ -507,7 +502,7 @@ def span_dimension(ctx: FieldCtx, vectors) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Group orders, GL_n and the Frobenius
+# Group orders and Galois groups
 # ---------------------------------------------------------------------------
 
 def group_orders(n: int, q: int) -> tuple[int, int]:
@@ -521,33 +516,6 @@ def group_orders(n: int, q: int) -> tuple[int, int]:
         gl *= qn - q ** i
     assert gl % (q - 1) == 0
     return gl, gl // (q - 1)
-
-
-@lru_cache(maxsize=32)
-def _gl_codes(p: int, s: int, n: int, cap: int) -> tuple[tuple[int, ...], ...]:
-    ctx = make_field(p, s)
-    gl, _ = group_orders(n, ctx.q)
-    if gl > cap:
-        raise TooLarge(f"|GL_{n}(F_{ctx.q})| = {gl} exceeds cap {cap}")
-    if n > MAX_ENUM_N:
-        raise TooLarge(f"matrix size {n} above enumeration limit {MAX_ENUM_N}")
-    out = []
-    for entries in itertools.product(range(ctx.q), repeat=n * n):
-        rows = (entries[i * n:(i + 1) * n] for i in range(n))
-        if span_dimension(ctx, rows) == n:
-            out.append(entries)
-    assert len(out) == gl
-    return tuple(out)
-
-
-def gl_elements(ctx: FieldCtx, n: int, cap: int = CONJUGACY_CAP):
-    """All invertible n x n matrices over ctx, in code order."""
-    return _gl_codes(ctx.p, ctx.s, n, cap)
-
-
-def frobenius_mat(ctx: FieldCtx, n: int, A, base_q: int) -> tuple[int, ...]:
-    """Apply x -> x^base_q to every entry."""
-    return tuple(ctx.pow(a, base_q) for a in A)
 
 
 def _galois_order(ctx: FieldCtx, base_q: int) -> int:

@@ -591,42 +591,6 @@ def f2_pair_classes(n: int, lo: int, hi: int):
 
 
 # ---------------------------------------------------------------------------
-# Power algebras: Theorem-of-simple-factors test
-# ---------------------------------------------------------------------------
-
-def generates_power(ctx: FieldCtx, n: int, s: int, m: int,
-                    coordinate_tuples) -> bool:
-    """Does a k-tuple of elements of M_n(F_{q^s})^m generate over F_q?
-
-    coordinate_tuples holds the m coordinate k-tuples.  The tuple
-    generates iff every coordinate tuple generates the simple factor and
-    no two coordinate tuples are related by an algebra automorphism
-    (conjugation composed with a Galois twist): their orbit keys differ.
-    """
-    if m < 1 or len(coordinate_tuples) != m:
-        raise BadParams("need exactly m coordinate tuples")
-    ext = _ext_field(ctx, s)
-    shape = shape_over_field(ctx, [(n, s, 1)])
-    for tup in coordinate_tuples:
-        if not generates(shape, [(mat,) for mat in tup]):
-            return False
-    if m == 1:
-        return True
-    auts = _automorphisms(ctx, ext, n)
-    keys = {_orbit_key(ctx, ext, n, tup, auts) for tup in coordinate_tuples}
-    return len(keys) == m
-
-
-def _ext_field(ctx: FieldCtx, s: int) -> FieldCtx:
-    if s == 1:
-        return ctx
-    if ctx.s > 1:
-        raise UnsupportedSize(
-            "extension blocks are only supported over a prime base field")
-    return make_field(ctx.p, s)
-
-
-# ---------------------------------------------------------------------------
 # Exhaustive counting
 # ---------------------------------------------------------------------------
 
@@ -719,9 +683,8 @@ def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
     """
     ext = _ext_field(ctx, s)
     shape = shape_over_field(ctx, [(n, s, 1)])
-    auts = _automorphisms(ctx, ext, n)
     mats = list(itertools.product(range(ext.q), repeat=n * n))
-    sizes = Counter(_orbit_key(ctx, ext, n, tup, auts)
+    sizes = Counter(_orbit_key(ctx, ext, n, tup)
                     for tup in itertools.product(mats, repeat=k)
                     if generates(shape, [(a,) for a in tup]))
     if m > len(sizes):
@@ -734,30 +697,57 @@ def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
     return math.factorial(m) * e[m]
 
 
-def _automorphisms(ctx: FieldCtx, ext: FieldCtx, n: int):
-    """All (g, g_inverse, galois power j) for M_n(ext) as a ctx-algebra."""
-    s = ffalg._galois_order(ext, ctx.q)
-    out = []
-    for g in ffalg.gl_elements(ext, n):
-        ginv = ffalg.mat_inv(ext, n, g)
-        out.extend((g, ginv, j) for j in range(s))
-    return out
+def _orbit_key(ctx: FieldCtx, ext: FieldCtx, n: int, tup):
+    """A key of the generating tuple tup of M_n(ext) that is equal for two
+    tuples iff an automorphism of M_n(ext) as a ctx-algebra maps one to the
+    other: a conjugation composed with a power of x -> x^q, q = ctx.q.
 
+    The words in tup, taken breadth-first from 1 and in generator order,
+    give a basis b_1 = 1, ..., b_{n^2} of M_n(ext): each word is kept if it
+    is independent of those kept before.  The key is the table of the
+    coordinates of every g_i b_j in that basis, least over its images
+    under x -> x^q.  A conjugation fixes the table, since it maps each
+    word to the same word of the image tuple; x -> x^q maps the table to
+    its image.  Conversely, if two tuples A and B have equal tables, the
+    linear map L: b_j(A) -> b_j(B) sends 1 to 1 and satisfies
+    L(g_i(A) x) = g_i(B) L(x), so it sends every word w(A) to w(B).  It is
+    therefore an algebra automorphism of M_n(ext), inner by Skolem-Noether.
 
-def _orbit_key(ctx: FieldCtx, ext: FieldCtx, n: int, tup, auts):
-    """Smallest encoding of the tuple over its automorphism orbit."""
-    best = None
-    for g, ginv, j in auts:
-        imgs = []
-        for mat in tup:
-            mm = mat
-            for _ in range(j):
-                mm = ffalg.frobenius_mat(ext, n, mm, ctx.q)
-            imgs.append(mat_mul(ext, n, mat_mul(ext, n, g, mm), ginv))
-        key = tuple(imgs)
-        if best is None or key < best:
-            best = key
+    Raises BadParams if the words of tup do not span M_n(ext).
+    """
+    D = n * n
+    ech = FqEchelon(ext, D)
+    basis = [ffalg.mat_identity(n)]
+    ech.insert(basis[0])
+    products = []
+    for b in basis:
+        for g in tup:
+            w = mat_mul(ext, n, g, b)
+            products.extend(w)
+            if len(basis) < D and ech.insert(w):
+                basis.append(w)
+    if len(basis) < D:
+        raise BadParams("orbit keys are defined for generating tuples only")
+    # the coordinates c of a row v in the basis solve c B = v: c = v B^-1,
+    # taken for the k D product rows D at a time
+    inv = ffalg.mat_inv(ext, D, sum(basis, ()))
+    key = tuple(itertools.chain.from_iterable(
+        mat_mul(ext, D, products[i:i + D * D], inv)
+        for i in range(0, len(products), D * D)))
+    best = key
+    for _ in range(ffalg._galois_order(ext, ctx.q) - 1):
+        key = tuple(ext.pow(a, ctx.q) for a in key)
+        best = min(best, key)
     return best
+
+
+def _ext_field(ctx: FieldCtx, s: int) -> FieldCtx:
+    if s == 1:
+        return ctx
+    if ctx.s > 1:
+        raise UnsupportedSize(
+            "extension blocks are only supported over a prime base field")
+    return make_field(ctx.p, s)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,30 @@ over GL_n, which compares g a with b g and needs no inverses, checks it.
 """
 
 import itertools
+from functools import lru_cache
 
 from algen import ffalg
 from algen.errors import DimensionMismatch
 
 
-def are_conjugate_tuples(ctx, t1, t2, include_galois=False, base_q=None,
-                         cap=ffalg.CONJUGACY_CAP) -> bool:
+@lru_cache(maxsize=8)
+def gl_elements(ctx, n: int) -> tuple[tuple[int, ...], ...]:
+    """All invertible n x n matrices over ctx, in code order."""
+    out = []
+    for entries in itertools.product(range(ctx.q), repeat=n * n):
+        rows = (entries[i * n:(i + 1) * n] for i in range(n))
+        if ffalg.span_dimension(ctx, rows) == n:
+            out.append(entries)
+    return tuple(out)
+
+
+def frobenius(ctx, a, base_q: int) -> tuple[int, ...]:
+    """Apply x -> x^base_q to every entry of the matrix a."""
+    return tuple(ctx.pow(x, base_q) for x in a)
+
+
+def are_conjugate_tuples(ctx, t1, t2, include_galois=False,
+                         base_q=None) -> bool:
     """True iff some g in GL_n (optionally composed with a Frobenius power
     over the base field of size base_q) maps t1 coordinatewise to t2.
 
@@ -35,10 +52,10 @@ def are_conjugate_tuples(ctx, t1, t2, include_galois=False, base_q=None,
     if include_galois and ctx.s > 1:
         # Galois twists of t1: powers of the Frobenius x -> x^base_q.
         for _ in range(ffalg._galois_order(ctx, base_q) - 1):
-            twists.append(tuple(ffalg.frobenius_mat(ctx, n, a, base_q)
+            twists.append(tuple(frobenius(ctx, a, base_q)
                                 for a in twists[-1]))
 
-    for g in ffalg.gl_elements(ctx, n, cap):
+    for g in gl_elements(ctx, n):
         for tw in twists:
             if all(ffalg.mat_mul(ctx, n, g, a) == ffalg.mat_mul(ctx, n, b, g)
                    for a, b in zip(tw, t2)):

@@ -339,6 +339,15 @@ def test_count_brute_power_beyond_the_orbit_count(capsys):
     assert json.loads(res.stdout)["value"] == "0"
 
 
+def test_count_brute_power_needs_no_group_sweep(capsys):
+    # orbit keys come from the tuples themselves, so |GL_1(F_10007)| =
+    # 10006 no longer meets a cap: only the 10007 coordinate tuples do
+    base = ("count", "--k", "1", "--n", "1", "--q", "10007", "--m", "2")
+    brute = run_json(capsys, *base, "--brute")
+    assert brute["value"] == "100130042" == str(10007 * 10006)
+    assert brute["value"] == run_json(capsys, *base, "--formula")["value"]
+
+
 def test_numpy_is_imported_only_by_the_grid_commands():
     src = os.path.dirname(os.path.dirname(algen.__file__))
     code = (

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from conjugacy import are_conjugate_tuples
+from conjugacy import are_conjugate_tuples, frobenius
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from listclosure import list_closure_generates
@@ -25,7 +25,6 @@ from algen.genff import (
     g_closed_form,
     gen_count,
     generates,
-    generates_power,
     generates_structural,
     lower_bound,
     shape_over_field,
@@ -479,50 +478,99 @@ def test_falling_factorial():
 
 def test_brute_power_matches_formula():
     assert brute_count(2, 2, 2, s=1, m=2).value == 8640
+    # 3888 (3888 - |PGL_2(F_3)|): 3888 generating pairs keyed by their orbits
+    assert (brute_count(2, 2, 3, m=2).value == 15023232
+            == count_gen_power_formula(2, 2, 3, 1, 2))
+
+
+def _power_tuple(coordinate_tuples):
+    """The k elements of M_n^m whose m coordinate k-tuples are given."""
+    return list(zip(*coordinate_tuples))
 
 
 def test_generates_power():
     f2 = make_field(2)
+    one, two = (shape_over_field(f2, [(2, 1, m)]) for m in (1, 2))
     pair = (E12, E21)
-    assert generates_power(f2, 2, 1, 1, [pair])
-    assert not generates_power(f2, 2, 1, 2, [pair, pair])  # identical coords
+    assert generates(one, _power_tuple([pair]))
+    assert not generates(two, _power_tuple([pair, pair]))  # identical coords
     g = (1, 1, 0, 1)
     conj = tuple(mat_mul(f2, 2, mat_mul(f2, 2, g, a), g) for a in pair)
-    assert not generates_power(f2, 2, 1, 2, [pair, conj])
+    assert not generates(two, _power_tuple([pair, conj]))
     other = (E12, (1, 1, 1, 0))
-    assert generates_power(f2, 2, 1, 2, [pair, other])
+    assert generates(two, _power_tuple([pair, other]))
+
+
+def _random_generating(rng, ctx, ext, n, k):
+    """A random k-tuple of M_n(ext) that generates it over the prime
+    field ctx."""
+    shape = shape_over_field(ctx, [(n, ext.s, 1)])
+    while True:
+        t = tuple(tuple(rng.randrange(ext.q) for _ in range(n * n))
+                  for _ in range(k))
+        if generates(shape, [(a,) for a in t]):
+            return t
+
+
+def _random_automorphism_image(rng, ctx, ext, n, t):
+    """The image of t under x -> x^q (q = ctx.q) j times, j random, followed
+    by conjugation by a random element of GL_n(ext)."""
+    while True:
+        g = tuple(rng.randrange(ext.q) for _ in range(n * n))
+        if ffalg.span_dimension(ext, [g[i * n:(i + 1) * n]
+                                      for i in range(n)]) == n:
+            break
+    ginv = ffalg.mat_inv(ext, n, g)
+    j = rng.randrange(ffalg._galois_order(ext, ctx.q))
+    out = []
+    for a in t:
+        for _ in range(j):
+            a = frobenius(ext, a, ctx.q)
+        out.append(mat_mul(ext, n, mat_mul(ext, n, g, a), ginv))
+    return tuple(out)
+
+
+# (p, s, n, samples): pairs in M_2(F_2), M_2(F_3), M_2(F_4) over F_2 and
+# M_3(F_2), and in F_8 over F_2, whose Galois group has order 3
+_ORBIT_KEY_CASES = ((2, 1, 2, 100), (3, 1, 2, 100), (2, 2, 2, 100),
+                    (2, 1, 3, 100), (2, 3, 1, 40))
+
+
+def test_orbit_key_is_automorphism_invariant():
+    rng = random.Random(29)
+    for p, s, n, samples in _ORBIT_KEY_CASES:
+        ctx, ext = make_field(p), make_field(p, s)
+        for _ in range(samples):
+            t = _random_generating(rng, ctx, ext, n, 2)
+            image = _random_automorphism_image(rng, ctx, ext, n, t)
+            assert (genff._orbit_key(ctx, ext, n, t)
+                    == genff._orbit_key(ctx, ext, n, image))
 
 
 def test_orbit_key_matches_conjugacy_oracle():
-    # equal orbit keys iff the brute-force sweep over GL_n (with the
-    # Frobenius twists over the base field) finds a conjugating matrix:
-    # pairs in M_2(F_2) and M_2(F_3), and in M_2(F_4) over F_2
+    # equal orbit keys iff the brute-force sweep over GL_n, with the
+    # Frobenius twists over the base field, finds a conjugating matrix;
+    # half of the second tuples are automorphic images of the first
     rng = random.Random(31)
-    for p, s, samples in ((2, 1, 60), (3, 1, 30), (2, 2, 30)):
+    for p, s, n, samples in _ORBIT_KEY_CASES:
         ctx, ext = make_field(p), make_field(p, s)
-        auts = genff._automorphisms(ctx, ext, 2)
         seen = set()
         for _ in range(samples):
-            t1 = tuple(tuple(rng.randrange(ext.q) for _ in range(4))
-                       for _ in range(2))
-            if rng.randrange(2):
-                # the image of t1 under a random automorphism
-                g, ginv, j = rng.choice(auts)
-                t2 = []
-                for a in t1:
-                    for _ in range(j):
-                        a = ffalg.frobenius_mat(ext, 2, a, p)
-                    t2.append(mat_mul(ext, 2, mat_mul(ext, 2, g, a), ginv))
-                t2 = tuple(t2)
-            else:
-                t2 = tuple(tuple(rng.randrange(ext.q) for _ in range(4))
-                           for _ in range(2))
-            same = (genff._orbit_key(ctx, ext, 2, t1, auts)
-                    == genff._orbit_key(ctx, ext, 2, t2, auts))
+            t1 = _random_generating(rng, ctx, ext, n, 2)
+            t2 = (_random_automorphism_image(rng, ctx, ext, n, t1)
+                  if rng.randrange(2) else _random_generating(rng, ctx, ext, n, 2))
+            same = (genff._orbit_key(ctx, ext, n, t1)
+                    == genff._orbit_key(ctx, ext, n, t2))
             assert same == are_conjugate_tuples(ext, t1, t2, include_galois=True,
                                                 base_q=p)
             seen.add(same)
         assert seen == {True, False}
+
+
+def test_orbit_key_refuses_non_generating_tuples():
+    f2 = make_field(2)
+    with pytest.raises(BadParams):
+        genff._orbit_key(f2, f2, 2, (E12, E12))
 
 
 def test_brute_with_galois_scalars():
@@ -548,23 +596,35 @@ def test_brute_m2f4_over_f2():
 def test_generates_power_galois_twist_detected():
     ext, A, B = two_generators_ext(2, 2, 2)
     f2 = make_field(2)
-    twisted = tuple(ffalg.frobenius_mat(ext, 2, M, 2) for M in (A, B))
-    assert generates_power(f2, 2, 2, 1, [(A, B)])
-    assert not generates_power(f2, 2, 2, 2, [(A, B), (A, B)])
-    assert not generates_power(f2, 2, 2, 2, [(A, B), twisted])
+    one, two = (shape_over_field(f2, [(2, 2, m)]) for m in (1, 2))
+    twisted = tuple(frobenius(ext, M, 2) for M in (A, B))
+    assert generates(one, _power_tuple([(A, B)]))
+    assert not generates(two, _power_tuple([(A, B), (A, B)]))
+    assert not generates(two, _power_tuple([(A, B), twisted]))
 
 
 def test_generates_power_agrees_with_product_closure():
-    # the simple-factor criterion against the direct closure in M_2(F_2)^2
-    f2 = make_field(2)
-    shape = shape_over_field(f2, [(2, 1, 2)])
+    # the simple-factor criterion (every coordinate generates and the
+    # orbit keys differ) against the direct closure in M_2(F_q)^2: random
+    # tuples over F_2, and over F_3 a third of them with conjugate
+    # coordinates
     rng = random.Random(11)
-    for _ in range(250):
-        c1 = tuple(tuple(rng.randrange(2) for _ in range(4)) for _ in range(2))
-        c2 = tuple(tuple(rng.randrange(2) for _ in range(4)) for _ in range(2))
-        via_criterion = generates_power(f2, 2, 1, 2, [c1, c2])
-        t = [(c1[i], c2[i]) for i in range(2)]
-        assert generates(shape, t) == via_criterion
+    for q, samples in ((2, 250), (3, 150)):
+        ctx = make_field(q)
+        one, two = (shape_over_field(ctx, [(2, 1, m)]) for m in (1, 2))
+        seen = set()
+        for i in range(samples):
+            c1 = tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(2))
+            c2 = tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(2))
+            if q == 3 and i % 3 == 0 and generates(one, _power_tuple([c1])):
+                c2 = _random_automorphism_image(rng, ctx, ctx, 2, c1)
+            via_criterion = (
+                all(generates(one, _power_tuple([c])) for c in (c1, c2))
+                and genff._orbit_key(ctx, ctx, 2, c1)
+                != genff._orbit_key(ctx, ctx, 2, c2))
+            assert generates(two, _power_tuple([c1, c2])) == via_criterion
+            seen.add(via_criterion)
+        assert seen == {True, False}
 
 
 def test_threshold_jump():
@@ -849,16 +909,24 @@ def test_brute_count_threads_agree():
 
 def _distinct_orbit_loop(k, n, q, s, m):
     """Oracle: run the simple-factor test over every m-tuple of coordinate
-    k-tuples, with one orbit key (None: not generating) per k-tuple."""
+    k-tuples, with one automorphism orbit (None: not generating) per
+    k-tuple, the orbits found by the GL_n sweep of are_conjugate_tuples."""
     ctx = make_field(*ffalg.prime_power_split(q))
     ext = ctx if s == 1 else make_field(ctx.p, s)
     shape = shape_over_field(ctx, [(n, s, 1)])
-    auts = genff._automorphisms(ctx, ext, n)
     mats = list(itertools.product(range(ext.q), repeat=n * n))
-    keys = [genff._orbit_key(ctx, ext, n, tup, auts)
-            if generates(shape, [(a,) for a in tup]) else None
-            for tup in itertools.product(mats, repeat=k)]
-    return sum(1 for combo in itertools.product(keys, repeat=m)
+    reps, orbits = [], []
+    for tup in itertools.product(mats, repeat=k):
+        if not generates(shape, [(a,) for a in tup]):
+            orbits.append(None)
+            continue
+        orbit = next((i for i, r in enumerate(reps)
+                      if are_conjugate_tuples(ext, r, tup, include_galois=True,
+                                              base_q=q)), len(reps))
+        if orbit == len(reps):
+            reps.append(tup)
+        orbits.append(orbit)
+    return sum(1 for combo in itertools.product(orbits, repeat=m)
                if None not in combo and len(set(combo)) == m)
 
 
