@@ -24,6 +24,7 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable
 
+from . import ffalg
 from .errors import BadParams, DivergentTail
 from .polys import phi_poly, poly_degree, poly_eval
 
@@ -351,15 +352,6 @@ def _log_series_sum(coeffs: list[float], primes) -> float:
     return math.fsum(terms())
 
 
-def _root_floor(n: int, e: int) -> int:
-    """The largest x with x^e <= n, for n >= 1."""
-    lo, hi = 1, 1 << (n.bit_length() // e + 1)  # lo^e <= n < hi^e
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if mid ** e <= n else (lo, mid)
-    return lo
-
-
 def _power_sum_bound(Q: int, s: int) -> Fraction:
     """sum_{n >= Q} n^-s <= Q^-s + int_Q^inf t^-s dt, for s > 1."""
     return Fraction(1, Q ** s) + Fraction(1, (s - 1) * Q ** (s - 1))
@@ -413,8 +405,8 @@ def _den_matrix3(k: int, P: int, eps: float):
     if C * Decimal(P) ** (-e) > Decimal("0.5"):
         raise BadParams(f"prime bound {P} too small to certify the tail")
     # the head: C p^-e > 2^-20; skipped after the cut: C p^-e < 2^-1100
-    head = bisect.bisect_right(primes, _root_floor((C << _HEAD_LOG2) - 1, e))
-    cut = bisect.bisect_right(primes, _root_floor(C << _ZERO_LOG2, e), head)
+    head = bisect.bisect_right(primes, ffalg._iroot((C << _HEAD_LOG2) - 1, e))
+    cut = bisect.bisect_right(primes, ffalg._iroot(C << _ZERO_LOG2, e), head)
     prod = Decimal(1)
     for p in primes[:head]:
         pk = p ** exp

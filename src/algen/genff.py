@@ -251,17 +251,12 @@ def generates(shape: AlgebraShape, t) -> bool:
 def _decide(shape: AlgebraShape, vecs) -> bool:
     """Generation test for coordinate vectors over an F_q shape.
 
-    A single M_n(F_2)^m block with n <= 3 goes to _f2_generates; every
-    other shape is decided over its prime field.
+    A single M_2(F_2) or M_3(F_2) block goes to the invariant-line test
+    of _f2_generates; every other shape is decided by a closure over its
+    prime field.
     """
-    ctx = shape.ctx
-    n, s, m = shape.blocks[0]
-    if ctx.q == 2 and len(shape.blocks) == 1 and s == 1 and n <= 3:
-        nn = n * n
-        mask = (1 << nn) - 1
-        return _f2_generates(n, m, [
-            tuple(code >> (i * nn) & mask for i in range(m))
-            for code in map(_f2_encode, vecs)])
+    if shape.ctx.q == 2 and shape.blocks in (((2, 1, 1),), ((3, 1, 1),)):
+        return _f2_generates(shape.blocks[0][0], [_f2_encode(v) for v in vecs])
     return _generates_generic(*_over_prime_field(shape, vecs))
 
 
@@ -298,14 +293,14 @@ def _generates_generic(shape: AlgebraShape, vecs) -> bool:
     return ech.dim == D
 
 
-# -- bit-packed closures over F_2 -------------------------------------------
+# -- bit-packed tests over F_2 ----------------------------------------------
 #
 # A coordinate vector over F_2 is one int, coordinate i at bit i.  Single
 # M_n(F_2) blocks with n in {2, 3} are decided by invariant-line masks
-# (_f2_generates), and M_n(F_2)^m with m > 1 or n = 1 by a closure over
-# row tables; every other shape over F_2 applies each generator as D row
-# masks, bit j of g v being the parity of masks[j] & v.  Both closures
-# keep the span as an XOR echelon keyed by the leading bit.
+# (_f2_generates) without a closure.  Every other shape over F_2 goes to
+# the one closure, _f2_span_generates: it applies each generator as D row
+# masks, bit j of g v being the parity of masks[j] & v, and keeps the
+# span as an XOR echelon keyed by the leading bit.
 
 def _f2_encode(mat) -> int:
     code = 0
@@ -363,87 +358,31 @@ def _f2_invariant_masks(n: int):
     return tuple(lines), tuple(lines[t] for t in transpose)
 
 
-def _f2_generates(n: int, m: int, gen_codes) -> bool:
-    """Generation test over F_2 for M_n(F_2)^m; elements are m-tuples of
-    codes.
+def _f2_generates(n: int, codes) -> bool:
+    """Generation test for a tuple of M_n(F_2) codes, n in {2, 3}.
 
-    For m = 1 and n in {2, 3} the maximal subalgebras of M_n(F_2) are
-    the stabilisers of a line or a hyperplane and the copies of the
-    field F_{2^n}, which are commutative, so the tuple generates iff no
-    line and no hyperplane is invariant under every entry and two
-    entries do not commute (generates_structural on lists).  Otherwise
-    a closure runs over the row tables.
+    The maximal subalgebras of M_n(F_2) are the stabilisers of a line or
+    a hyperplane and the copies of the field F_{2^n}, which are
+    commutative, so the tuple generates iff no line and no hyperplane is
+    invariant under every entry and two entries do not commute
+    (generates_structural on lists).
     """
     rows, xmaps = _f2_tables(n)
-    if m == 1 and n > 1:
-        lines, hyperplanes = _f2_invariant_masks(n)
-        codes = [c for (c,) in gen_codes]
-        common_line = common_hyperplane = -1
-        for c in codes:
-            common_line &= lines[c]
-            common_hyperplane &= hyperplanes[c]
-        if common_line or common_hyperplane:
-            return False
-        # row i of a b is xmaps[b][rows[a][i]]
-        for j, b in enumerate(codes):
-            rb, xb = rows[b], xmaps[b]
-            for a in codes[:j]:
-                ra, xa = rows[a], xmaps[a]
-                for i in range(n):
-                    if xb[ra[i]] != xa[rb[i]]:
-                        return True
+    lines, hyperplanes = _f2_invariant_masks(n)
+    common_line = common_hyperplane = -1
+    for c in codes:
+        common_line &= lines[c]
+        common_hyperplane &= hyperplanes[c]
+    if common_line or common_hyperplane:
         return False
-    nn = n * n
-    D = nn * m
-    ident = 0
-    idc = _f2_encode(ffalg.mat_identity(n))
-    for slot in range(m):
-        ident |= idc << (slot * nn)
-    packed_gens = []
-    for elem in gen_codes:
-        v = 0
-        for slot, c in enumerate(elem):
-            v |= c << (slot * nn)
-        packed_gens.append(v)
-    grows = [[rows[(g >> (slot * nn)) & ((1 << nn) - 1)] for slot in range(m)]
-             for g in packed_gens]
-
-    piv = [0] * D
-    rank = 0
-
-    def insert(x) -> bool:
-        nonlocal rank
-        while x:
-            b = x.bit_length() - 1
-            r = piv[b]
-            if not r:
-                piv[b] = x
-                rank += 1
-                return True
-            x ^= r
-        return False
-
-    insert(ident)
-    if rank == D:
-        return True
-    work = [ident]
-    block_mask = (1 << nn) - 1
-    while work:
-        v = work.pop()
-        vx = [xmaps[(v >> (slot * nn)) & block_mask] for slot in range(m)]
-        for gr in grows:
-            w = 0
-            off = 0
-            for slot in range(m):
-                xv = vx[slot]
-                grs = gr[slot]
-                for i in range(n):
-                    w |= xv[grs[i]] << (off + i * n)
-                off += nn
-            if insert(w):
-                if rank == D:
+    # row i of a b is xmaps[b][rows[a][i]]
+    for j, b in enumerate(codes):
+        rb, xb = rows[b], xmaps[b]
+        for a in codes[:j]:
+            ra, xa = rows[a], xmaps[a]
+            for i in range(n):
+                if xb[ra[i]] != xa[rb[i]]:
                     return True
-                work.append(w)
     return False
 
 
@@ -539,7 +478,7 @@ def f2_generating_pairs(n: int) -> tuple[tuple[int, int], ...]:
         raise UnsupportedSize("pair table kept for n in {2, 3} only")
     q = 1 << (n * n)
     return tuple((a, b) for a in range(q) for b in range(a + 1, q)
-                 if _f2_generates(n, 1, ((a,), (b,))))
+                 if _f2_generates(n, (a, b)))
 
 
 @lru_cache(maxsize=4)
@@ -943,8 +882,8 @@ def generates_structural(ctx: FieldCtx, t, n: int) -> bool:
     invariant hyperplane (lines of the transposes), and the entries do
     not pairwise commute (ruling out the field-type maximal subalgebras).
 
-    It is the list-level reference of the packed test that _f2_generates
-    applies to single M_2(F_2) and M_3(F_2) blocks, for any q.
+    It is the list-level reference, for any q, of the packed test that
+    _f2_generates applies to single M_2(F_2) and M_3(F_2) blocks.
     """
     if n not in (2, 3):
         raise UnsupportedSize("structural test covers n in {2, 3}")

@@ -460,7 +460,7 @@ def _census_shard(args) -> tuple[int, int]:
     gen = 0
     fail = 0
     for a, b, size in genff.f2_pair_classes(n, lo, hi):
-        if not genff._f2_generates(n, 1, ((a,), (b,))):
+        if not genff._f2_generates(n, (a, b)):
             continue
         gen += 2 * size
         if not commutator_lattice_test(mats[a], mats[b]):

@@ -124,8 +124,8 @@ def _mc_shard(args) -> tuple[int]:
     hits = 0
     for i in range(lo, hi):
         t = sample_tuple(shape, k, box, i)
-        t2 = [[[v & 1 for v in mat] for mat in elem] for elem in t]
-        if genff.generates(shape2, t2) and genz.generates_Z_bool(shape, t):
+        t2 = [[v & 1 for mat in elem for v in mat] for elem in t]
+        if genff._decide(shape2, t2) and genz.generates_Z_bool(shape, t):
             hits += 1
     return (hits,)
 

@@ -405,3 +405,13 @@ def test_benchmark_tracer_sees_the_census_f2_screen():
     assert json.loads(out[0])["gen_mod2"] == 96
     classes = sum(1 for _ in genff.f2_pair_classes(2, 0, 16))
     assert calls["genff.f2_closure"] == classes == 49
+
+
+def test_benchmark_tracer_sees_the_mc_power_screen():
+    # the mod-2 screen of mc --m 2 decides each sample by the mask closure
+    # of _generates_generic (genff.fq_closure), none by _f2_generates
+    out, calls = _traced_calls("mc", "--n", "2", "--m", "2", "--k", "3",
+                               "--N", "5", "--samples", "20")
+    assert json.loads(out[0])["trials"] == 20
+    assert calls["genff.fq_closure"] == 20
+    assert calls["genff.f2_closure"] == 0

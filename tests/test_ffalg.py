@@ -344,6 +344,22 @@ def test_prime_power_split_by_integer_roots():
             ffalg.prime_power_split(q)
 
 
+def test_iroot_brackets_seeded_random_inputs():
+    # r^e <= x < (r + 1)^e, on random x of up to 1200 bits, on exact
+    # powers and one below them, and on x = 1
+    rng = random.Random(43)
+    cases = [(1, 1), (1, 5)]
+    for _ in range(2000):
+        e = rng.randrange(1, 700)
+        x = rng.getrandbits(rng.randrange(1, 1201)) or 1
+        cases.append((x, e))
+        r = rng.randrange(2, 2 ** rng.randrange(2, 40))
+        cases += [(r ** e, e), (r ** e - 1, e)]
+    for x, e in cases:
+        r = ffalg._iroot(x, e)
+        assert r ** e <= x < (r + 1) ** e, (x, e)
+
+
 def test_is_prime_refuses_probable_primes():
     bound = ffalg.MR_DETERMINISTIC_BOUND
     assert ffalg.is_prime(bound - 20)  # the largest prime below the bound

@@ -179,9 +179,9 @@ def test_closure_against_word_span_oracle_property(case):
 
 
 def test_closure_against_matrix_closure_oracle():
-    # (q, blocks): F_2 with n = 4 (the mask closure, no row tables), F_3,
-    # F_4, F_8 and F_9 as base fields (recoded over F_p with x 1), F_4, F_8
-    # and F_9 over their prime fields, mixed blocks and power shapes
+    # (q, blocks): F_2 with n = 4 (the mask closure), F_3, F_4, F_8 and
+    # F_9 as base fields (recoded over F_p with x 1), F_4, F_8 and F_9
+    # over their prime fields, mixed blocks and power shapes
     cases = [(2, [(4, 1, 1)]), (3, [(2, 1, 1)]), (3, [(1, 1, 2), (2, 1, 1)]),
              (4, [(2, 1, 1)]), (4, [(1, 1, 1), (2, 1, 2)]), (8, [(2, 1, 1)]),
              (9, [(2, 1, 1)]), (9, [(1, 1, 3)]), (2, [(2, 2, 1)]),
@@ -207,12 +207,12 @@ def test_closure_against_matrix_closure_oracle():
 
 # -- the bit-packed closure over F_2 against the list closure and matrices
 
-# F_2 shapes outside the row tables, F_4 and F_8 bases (recoded over F_2
-# with x 1), and M_2(F_2)^2, which generates sends to the row tables and
-# _packed_generates to the masks
+# F_2 shapes with extension and mixed blocks, the powers M_2(F_2)^2,
+# M_3(F_2)^2 and F_2^3, and F_4 and F_8 bases (recoded over F_2 with x 1)
 PACKED_CASES = [(2, [(2, 2, 1)]), (2, [(2, 3, 1)]), (2, [(3, 2, 1)]),
                 (2, [(4, 1, 1)]), (2, [(2, 1, 1), (3, 1, 1)]),
-                (2, [(2, 1, 2)]), (4, [(2, 1, 1)]), (8, [(2, 1, 1)])]
+                (2, [(2, 1, 2)]), (2, [(3, 1, 2)]), (2, [(1, 1, 3)]),
+                (4, [(2, 1, 1)]), (8, [(2, 1, 1)])]
 
 
 def _random_tuple(rng, shape, k):
@@ -223,8 +223,8 @@ def _random_tuple(rng, shape, k):
 
 
 def _packed_generates(shape, t):
-    """The bit-packed closure on t, even where generates would take the
-    row tables."""
+    """The mask closure on t, even where generates would take the
+    invariant-line test."""
     return genff._generates_generic(
         *genff._over_prime_field(shape, _coords(shape, t)))
 
@@ -313,17 +313,13 @@ def _mask_closure(n):
         n * n, one, [masks[c] for c in codes])
 
 
-def _tables_generate(n, codes):
-    return genff._f2_generates(n, 1, [(c,) for c in codes])
-
-
 def test_invariant_line_tables_against_mask_closure_all_m3_pairs():
     # every unordered pair a < b and every diagonal pair (a, a)
     closure = _mask_closure(3)
     generating = 0
     for a in range(512):
         for b in range(a, 512):
-            verdict = _tables_generate(3, (a, b))
+            verdict = genff._f2_generates(3, (a, b))
             assert verdict == closure((a, b)), (a, b)
             generating += verdict
     assert generating == g_closed_form(2, 3, 2) // 2 == 64512
@@ -334,7 +330,7 @@ def test_invariant_line_tables_against_mask_closure_m2_pairs_and_triples():
     for k in (2, 3):
         generating = 0
         for codes in itertools.product(range(16), repeat=k):
-            verdict = _tables_generate(2, codes)
+            verdict = genff._f2_generates(2, codes)
             assert verdict == closure(codes), codes
             generating += verdict
         assert generating == g_closed_form(k, 2, 2)
@@ -348,7 +344,7 @@ def test_invariant_line_tables_against_list_closure_k_tuples(n):
     for k in (0, 1, 3, 4, 5):
         for _ in range(60):
             codes = [rng.randrange(1 << (n * n)) for _ in range(k)]
-            verdict = _tables_generate(n, codes)
+            verdict = genff._f2_generates(n, codes)
             assert verdict == list_closure_generates(
                 shape, [list(_code_matrix(n, c)) for c in codes]), codes
             assert verdict == generates(
@@ -369,7 +365,7 @@ def _f2_code_tuples(draw):
 @given(_f2_code_tuples())
 def test_invariant_line_tables_property(case):
     n, codes = case
-    verdict = _tables_generate(n, codes)
+    verdict = genff._f2_generates(n, codes)
     assert verdict == _mask_closure(n)(codes)
     assert verdict == generates_structural(
         make_field(2), [_code_matrix(n, c) for c in codes], n)
@@ -499,6 +495,19 @@ def test_generates_power():
     assert not generates(two, _power_tuple([pair, conj]))
     other = (E12, (1, 1, 1, 0))
     assert generates(two, _power_tuple([pair, other]))
+    # M_3(F_2)^2: a pair and its GL_3 conjugate fail, the pair and the
+    # same entries in the other order (another orbit) generate
+    two = shape_over_field(f2, [(3, 1, 2)])
+    _ext, A, B = two_generators_ext(3, 2)
+    g = (1, 1, 0, 0, 1, 1, 0, 0, 1)
+    ginv = ffalg.mat_inv(f2, 3, g)
+    conj = tuple(mat_mul(f2, 3, mat_mul(f2, 3, g, a), ginv) for a in (A, B))
+    key = genff._orbit_key(f2, f2, 3, (A, B))
+    assert conj != (A, B) and genff._orbit_key(f2, f2, 3, conj) == key
+    assert not generates(two, _power_tuple([(A, B), conj]))
+    other = (B, A)
+    assert genff._orbit_key(f2, f2, 3, other) != key
+    assert generates(two, _power_tuple([(A, B), other]))
 
 
 def _random_generating(rng, ctx, ext, n, k):
@@ -890,7 +899,7 @@ def _gaussian_binomial(d, j, q):
 def test_subspace_weights_partition_all_tuples(monkeypatch):
     # with a predicate that is always true every k-tuple is counted once
     monkeypatch.setattr(genff, "_generates_generic", lambda shape, t: True)
-    monkeypatch.setattr(genff, "_f2_generates", lambda n, m, codes: True)
+    monkeypatch.setattr(genff, "_f2_generates", lambda n, codes: True)
     for k, n, q, s in ((2, 2, 2, 1), (3, 2, 2, 1), (2, 2, 3, 1), (2, 2, 4, 1),
                        (2, 2, 2, 2), (2, 1, 2, 3), (4, 1, 3, 2)):
         D = s * n * n

@@ -589,7 +589,7 @@ def test_commutator_rule_on_every_census_pair():
     mats = [genz._code_to_zmat(3, c) for c in range(512)]
     decided = failed = 0
     for a, b, _size in genff.f2_pair_classes(3, 0, 512):
-        if genff._f2_generates(3, 1, ((a,), (b,))):
+        if genff._f2_generates(3, (a, b)):
             decided += 1
             failed += not _assert_rule_matches_closure(mats[a], mats[b])
     assert decided == 5888 and 0 < failed < decided
