@@ -378,6 +378,8 @@ def main(argv=None) -> int:
     config = {key: _enc_int(v) if type(v) is int else v
               for key, v in vars(args).items() if key != "fn"}
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValidationError("--threads must be >= 1")
         return args.fn(args, config)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")

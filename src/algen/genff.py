@@ -693,57 +693,57 @@ def _ext_field(ctx: FieldCtx, s: int) -> FieldCtx:
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def g_closed_form(m: int, n: int, q: int) -> int:
-    """Number of generating m-tuples of M_n(F_q), closed form for n in {2,3}.
+def g_closed_form(k: int, n: int, q: int) -> int:
+    """Number of generating k-tuples of M_n(F_q), closed form for n in {2,3}.
 
-    n=2: q^(2m+1) (q^(m-1) - 1)(q^m - 1)
-    n=3: q^(3m+4) (q^(m-1) - 1)(q^(m-1) + 1)(q^m - 1)
-         * (q^(3m-2) + q^(2m-2) - q^m - 2 q^(m-1) - q^(m-2) + q + 1)
+    n=2: q^(2k+1) (q^(k-1) - 1)(q^k - 1)
+    n=3: q^(3k+4) (q^(k-1) - 1)(q^(k-1) + 1)(q^k - 1)
+         * (q^(3k-2) + q^(2k-2) - q^k - 2 q^(k-1) - q^(k-2) + q + 1)
     """
-    if m < 1:
-        raise BadParams("m must be >= 1")
+    if k < 1:
+        raise BadParams("k must be >= 1")
     ffalg.prime_power_split(q)
     if n == 2:
-        return q ** (2 * m + 1) * (q ** (m - 1) - 1) * (q ** m - 1)
+        return q ** (2 * k + 1) * (q ** (k - 1) - 1) * (q ** k - 1)
     if n == 3:
-        if m == 1:
+        if k == 1:
             return 0
-        tail = (q ** (3 * m - 2) + q ** (2 * m - 2) - q ** m
-                - 2 * q ** (m - 1) - q ** (m - 2) + q + 1)
-        return (q ** (3 * m + 4) * (q ** (m - 1) - 1) * (q ** (m - 1) + 1)
-                * (q ** m - 1) * tail)
+        tail = (q ** (3 * k - 2) + q ** (2 * k - 2) - q ** k
+                - 2 * q ** (k - 1) - q ** (k - 2) + q + 1)
+        return (q ** (3 * k + 4) * (q ** (k - 1) - 1) * (q ** (k - 1) + 1)
+                * (q ** k - 1) * tail)
     raise UnsupportedSize(f"no closed form for n = {n}")
 
 
-def gen_count(m: int, n: int, q: int) -> int:
-    """gen_{m,n}(q) = g_{m,n}(q) / |PGL_n(F_q)|: the largest number of
-    copies of M_n(F_q) generable by m elements.
+def gen_count(k: int, n: int, q: int) -> int:
+    """gen_{k,n}(q) = g_{k,n}(q) / |PGL_n(F_q)|: the largest number of
+    copies of M_n(F_q) generable by k elements.
 
     Cross-evaluates independent closed forms for the quotient and asserts
     they agree exactly.
     """
-    g = g_closed_form(m, n, q)
+    g = g_closed_form(k, n, q)
     _gl, pgl = ffalg.group_orders(n, q)
     if g % pgl:
         raise AssertionError("free action must make |PGL| divide the count")
     val = g // pgl
     if n == 2:
-        num = q ** (2 * m - 1) * (q ** m - 1) * (q ** m - q)
+        num = q ** (2 * k - 1) * (q ** k - 1) * (q ** k - q)
         den = q * q - 1
         assert num % den == 0 and val == num // den
         if q == 2:
-            num2 = 2 ** (2 * m - 1) * (2 ** m - 2) * (2 ** m - 1)
+            num2 = 2 ** (2 * k - 1) * (2 ** k - 2) * (2 ** k - 1)
             assert num2 % 3 == 0 and val == num2 // 3
     else:
-        num = (q ** (3 * m - 3) * (q ** m - 1) * (q ** m - q) * (q ** m + q)
-               * (q ** (3 * m) - q ** (m + 2) + q ** (2 * m)
-                  - 2 * q ** (m + 1) - q ** m + q ** 3 + q ** 2))
+        num = (q ** (3 * k - 3) * (q ** k - 1) * (q ** k - q) * (q ** k + q)
+               * (q ** (3 * k) - q ** (k + 2) + q ** (2 * k)
+                  - 2 * q ** (k + 1) - q ** k + q ** 3 + q ** 2))
         den = (q - 1) ** 2 * (q + 1) * (q * q + q + 1)
         assert num % den == 0 and val == num // den
         if q == 2:
-            num4 = ((2 ** m - 2) * (2 ** m - 1) * (2 ** m + 2)
-                    * (2 ** (3 * m) + 2 ** (2 * m) - 2 ** (m + 3)
-                       - 2 ** m + 12) * 2 ** (3 * m - 3))
+            num4 = ((2 ** k - 2) * (2 ** k - 1) * (2 ** k + 2)
+                    * (2 ** (3 * k) + 2 ** (2 * k) - 2 ** (k + 3)
+                       - 2 ** k + 12) * 2 ** (3 * k - 3))
             assert num4 % 21 == 0 and val == num4 // 21
     return val
 

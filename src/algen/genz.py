@@ -11,15 +11,20 @@ the index are the residue characteristics where generation fails.
 
 A pair in M_2(Z) or M_3(Z) needs no closure for the bare verdict: it
 generates iff the rows and the columns of its commutators
-A^k B^l - B^l A^k span Z^n (commutator_lattice_test).  generates_Z_bool
-(Monte Carlo) and the census use that rule there; generates_Z,
-closure_lattice and checkgen keep the closure, which gives the index.
+A^k B^l - B^l A^k span Z^n (commutator_lattice_test).  For n = 3 the
+commutators are built one at a time as the span needs them, and the span
+of Z^3 is a Hermite reduction on six scalars (_spans_Z3), not _ZEchelon.
+generates_Z_bool (Monte Carlo) and the census use that rule there;
+generates_Z, closure_lattice and checkgen keep the closure, which gives
+the index.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from . import ffalg, genff
 from .errors import BadParams, CertificationFailed, ShapeMismatch, UnsupportedSize
@@ -266,13 +271,51 @@ def det_commutator_test(A, B) -> bool:
 
 
 def _spans_Z3(vecs) -> bool:
-    """Do the vectors span Z^3?  Stops at the first one that makes the
-    index 1."""
-    ech = _ZEchelon(3)
-    for v in vecs:
-        if ech.add(v) and ech.index_if_full() == 1:
+    """Do the vectors span Z^3?  Hermite reduction on scalars, with the
+    Bezout step of _ZEchelon.add: the rows (p0, a01, a02), (0, p1, a12)
+    and (0, 0, p2), a pivot 0 while its row is missing.  Stops at the
+    first vector that makes every pivot 1."""
+    p0 = a01 = a02 = p1 = a12 = p2 = 0
+    for x, y, z in vecs:
+        if x:
+            if not p0:
+                p0, a01, a02 = (x, y, z) if x > 0 else (-x, -y, -z)
+                y = z = 0
+            elif x % p0:
+                u, v, g = _xgcd(p0, x)
+                s, t = p0 // g, x // g
+                p0, a01, a02, y, z = (g, u * a01 + v * y, u * a02 + v * z,
+                                      s * y - t * a01, s * z - t * a02)
+            else:
+                q = x // p0
+                y -= q * a01
+                z -= q * a02
+        if y:
+            if not p1:
+                p1, a12 = (y, z) if y > 0 else (-y, -z)
+                z = 0
+            elif y % p1:
+                u, v, g = _xgcd(p1, y)
+                p1, a12, z = g, u * a12 + v * z, p1 // g * z - y // g * a12
+            else:
+                z -= y // p1 * a12
+        if z:
+            p2 = math.gcd(p2, z)
+        if p0 == p1 == p2 == 1:
             return True
     return False
+
+
+def _commutators3(A, B):
+    """C_11, C_12, C_21, C_22 of a pair in M_3(Z), in that order; B^2 and
+    A^2 are formed when first needed, so C_11 costs two products and all
+    four cost ten."""
+    yield [*map(sub, _mat3_mul(A, B), _mat3_mul(B, A))]
+    B2 = _mat3_mul(B, B)
+    yield [*map(sub, _mat3_mul(A, B2), _mat3_mul(B2, A))]
+    A2 = _mat3_mul(A, A)
+    yield [*map(sub, _mat3_mul(A2, B), _mat3_mul(B, A2))]
+    yield [*map(sub, _mat3_mul(A2, B2), _mat3_mul(B2, A2))]
 
 
 def commutator_lattice_test(A, B) -> bool:
@@ -287,22 +330,19 @@ def commutator_lattice_test(A, B) -> bool:
     line or a plane in N or commutes; a common eigenvector lies in N.
     The transposes give the hyperplanes, as C_kl(A^T, B^T) = -C_kl^T.
     Rank n mod every l is a Z-span of Z^n.  For n = 2 both conditions
-    say det(AB - BA) = +-1 (det_commutator_test).
+    say det(AB - BA) = +-1 (det_commutator_test).  For n = 3 the rows,
+    then the columns, go to _spans_Z3 commutator by commutator
+    (_commutators3); each pass stops once the span is Z^3, and the
+    column pass reuses the commutators the row pass built.
     """
     if len(A) == 4 and len(B) == 4:
         return det_commutator_test(A, B)
     if len(A) != 9 or len(B) != 9:
         raise UnsupportedSize(
             "commutator lattice test is for 2x2 and 3x3 matrices")
-    A2 = _mat3_mul(A, A)
-    B2 = _mat3_mul(B, B)
-    comms = []
-    for X in (A, A2):
-        for Y in (B, B2):
-            XY, YX = _mat3_mul(X, Y), _mat3_mul(Y, X)
-            comms.append([x - y for x, y in zip(XY, YX)])
-    return (_spans_Z3(C[i:i + 3] for C in comms for i in (0, 3, 6))
-            and _spans_Z3(C[i::3] for C in comms for i in range(3)))
+    rows, cols = itertools.tee(_commutators3(A, B))
+    return (_spans_Z3(v for C in rows for v in (C[:3], C[3:6], C[6:]))
+            and _spans_Z3(v for C in cols for v in (C[::3], C[1::3], C[2::3])))
 
 
 # ---------------------------------------------------------------------------

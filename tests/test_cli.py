@@ -206,6 +206,29 @@ def test_bad_inputs_exit_2(capsys, monkeypatch, tmp_path):
         assert code == 2 and out == "", text
 
 
+def test_count_k_below_one_exits_2(capsys):
+    # the closed form names the tuple length k, as the command line does
+    for argv in (["--k", "0"], ["--k", "-1"], ["--k", "0", "--n", "3"],
+                 ["--k", "0", "--m", "2"]):
+        assert main(["count", "--n", "2", "--q", "2", *argv]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err == "error: k must be >= 1\n", argv
+
+
+def test_threads_below_one_exits_2(capsys):
+    commands = (["mc", "--n", "2", "--k", "2", "--N", "5", "--samples", "3"],
+                ["census", "--n", "2"],
+                ["count", "--k", "2", "--n", "2", "--q", "2"],
+                ["count", "--k", "2", "--n", "2", "--q", "2", "--brute"])
+    for argv in commands:
+        for threads in ("0", "-3"):
+            assert main([*argv, "--threads", threads]) == 2
+            cap = capsys.readouterr()
+            assert cap.out == "", argv
+            assert cap.err == "error: --threads must be >= 1\n", argv
+        assert run_json(capsys, *argv, "--threads", "1")["config"]["threads"] == 1
+
+
 def test_non_finite_eps_exits_2(capsys):
     # zn at k = n and matrix at n = k = 2 are exactly 0 and need no zeta
     # value, so 1e-30 (too small for zeta(2)) is refused by the others only

@@ -5,7 +5,7 @@ import random
 
 import pytest
 from conjugacy import are_conjugate_tuples, gl_elements
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from seededpairs import m2z_pairs_with_closure_verdicts
 
@@ -692,6 +692,94 @@ def _integer_pairs(draw):
 @given(_integer_pairs())
 def test_commutator_rule_property(pair):
     _assert_rule_matches_closure(*pair)
+
+
+def _det3(C):
+    return (C[0] * (C[4] * C[8] - C[5] * C[7])
+            - C[1] * (C[3] * C[8] - C[5] * C[6])
+            + C[2] * (C[3] * C[7] - C[4] * C[6]))
+
+
+def test_commutator_rule_builds_commutators_lazily(monkeypatch):
+    # C_11 = AB - BA takes two products; C_12, C_21 add three each (B^2,
+    # A^2) and C_22 two more.  A unimodular C_11 decides both passes, any
+    # other pair needs C_12, and the column pass reuses the row pass's
+    # commutators, so a failing pair (which exhausts one pass) takes ten.
+    mul = genz._mat3_mul
+    calls = []
+    monkeypatch.setattr(genz, "_mat3_mul",
+                        lambda X, Y: calls.append(1) or mul(X, Y))
+
+    def products(A, B):
+        calls.clear()
+        verdict = commutator_lattice_test(A, B)
+        return verdict, len(calls)
+
+    mats = [genz._code_to_zmat(3, c) for c in range(512)]
+    census = [(mats[a], mats[b])
+              for a, b, _size in genff.f2_pair_classes(3, 0, 512)
+              if genff._f2_generates(3, (a, b))]
+    rng = random.Random(191)
+    built = [pair for _ in range(10) for pair in _built_failures(rng, 3)]
+    seen = set()
+    for A, B in census + built + [(REMARK_A, REMARK_B)]:
+        verdict, used = products(A, B)
+        det = _det3([x - y for x, y in zip(mul(A, B), mul(B, A))])
+        if not verdict:
+            assert used == 10, (A, B)
+        elif det in (1, -1):
+            assert used == 2, (A, B)
+        else:
+            assert used in (5, 8, 10), (A, B)
+        seen.add((verdict, used))
+    assert {(True, 2), (True, 5), (False, 10)} <= seen
+
+
+@st.composite
+def _z3_vector_sets(draw):
+    """Up to seven vectors in Z^3 with entries up to 2^200: free, all in
+    the span of two, one column scaled by a prime (index above 1), or
+    with all-zero vectors among them."""
+    bound = draw(st.sampled_from([1, 4, 2 ** 64, 2 ** 200]))
+    kind = draw(st.sampled_from(["free", "rank2", "scaled", "zeros"]))
+    count = draw(st.integers(0, 7))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def rand():
+        return [rng.randint(-bound, bound) for _ in range(3)]
+
+    vecs = [rand() for _ in range(count)]
+    if kind == "rank2":
+        u, w = rand(), rand()
+        vecs = [[a * x + b * y for x, y in zip(u, w)]
+                for a, b in ((rng.randint(-3, 3), rng.randint(-3, 3))
+                             for _ in range(count))]
+    elif kind == "scaled":
+        ell, j = rng.choice([2, 3, 5, 2 ** 61 - 1]), rng.randrange(3)
+        for v in vecs:
+            v[j] *= ell
+    elif kind == "zeros":
+        vecs += [[0, 0, 0]] * rng.randint(1, 3)
+    return vecs
+
+
+_BIG = 2 ** 200
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_z3_vector_sets(), st.randoms(use_true_random=False))
+@example([], random.Random(0))
+@example([[0, 0, 0]] * 4, random.Random(0))
+@example([[2, 0, 0], [0, 1, 0], [0, 0, 1]], random.Random(0))
+# index 2^201 + 1 until (0, 1, 0) arrives, the last Bezout step on a
+# pivot past 64 bits
+@example([[2 * _BIG + 1, 0, 0], [_BIG, 1, 0], [0, 0, -1], [0, 1, 0]],
+         random.Random(0))
+def test_spans_Z3_against_snf_and_hnf(vecs, rng):
+    verdict = genz._spans_Z3(vecs)
+    assert verdict == generates_Zn_module(vecs) == (hnf(vecs, 3).index == 1)
+    for _ in range(3):
+        assert genz._spans_Z3(rng.sample(vecs, len(vecs))) == verdict
 
 
 def _random_integer_matrices(seed, count):
