@@ -211,7 +211,7 @@ class FieldCtx:
     first.  This makes contexts deterministic: same (p, s), same field.
     """
 
-    __slots__ = ("p", "s", "q", "modulus", "_mul_table", "_inv_table")
+    __slots__ = ("p", "s", "q", "modulus", "_mul_table")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -219,9 +219,8 @@ class FieldCtx:
         self.q = p ** s
         self.modulus = modulus
         self._mul_table = None
-        self._inv_table = None
         if s > 1 and self.q <= _TABLE_CAP:
-            self._build_tables()
+            self._build_mul_table()
 
     def __repr__(self):
         return f"FieldCtx(q={self.q})" if self.s == 1 else (
@@ -288,8 +287,6 @@ class FieldCtx:
             raise DivisionByZero("no inverse of 0")
         if self.s == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None:
-            return self._inv_table[a]
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -302,7 +299,7 @@ class FieldCtx:
             e >>= 1
         return result
 
-    def _build_tables(self):
+    def _build_mul_table(self):
         q = self.q
         table = [[0] * q for _ in range(q)]
         for a in range(q):
@@ -312,13 +309,6 @@ class FieldCtx:
                 row[b] = v
                 table[b][a] = v
         self._mul_table = table
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if table[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
 
     def elements_in_canonical_order(self):
         """All element codes sorted by coefficient vector, low degree first,

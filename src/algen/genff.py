@@ -507,7 +507,8 @@ def f2_pair_classes(n: int, lo: int, hi: int):
     M_n(F_2) codes under _f2_symmetries, one per orbit, with lo <= b < hi.
 
     (a, b) is the lexicographically least sorted image of the orbit and
-    size the number of its distinct images.  The least image starts with
+    size the number of its distinct images: the group order divided by
+    the number of tables that fix the pair.  The least image starts with
     a code that is least in its own orbit, so only such codes are tried
     as a.
     """
@@ -517,16 +518,16 @@ def f2_pair_classes(n: int, lo: int, hi: int):
         for a in least:
             if a >= b:
                 break
-            images = set()
+            stab = 0
             for t in tables:
                 x, y = t[a], t[b]
                 if x > y:
                     x, y = y, x
                 if x < a or (x == a and y < b):
                     break
-                images.add((x, y))
+                stab += x == a and y == b
             else:
-                yield a, b, len(images)
+                yield a, b, len(tables) // stab
 
 
 # ---------------------------------------------------------------------------

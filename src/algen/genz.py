@@ -185,6 +185,12 @@ def hnf(rows, D: int | None = None) -> Lattice:
     return Lattice(D, ech.canonical_basis())
 
 
+def generates_Zn_module(vectors) -> bool:
+    """True iff the vectors generate Z^n as a module: their HNF has index 1."""
+    rows = [list(map(int, v)) for v in vectors]
+    return bool(rows) and hnf(rows).index == 1
+
+
 # ---------------------------------------------------------------------------
 # Monomial closure over Z
 # ---------------------------------------------------------------------------
@@ -343,105 +349,6 @@ def commutator_lattice_test(A, B) -> bool:
     rows, cols = itertools.tee(_commutators3(A, B))
     return (_spans_Z3(v for C in rows for v in (C[:3], C[3:6], C[6:]))
             and _spans_Z3(v for C in cols for v in (C[::3], C[1::3], C[2::3])))
-
-
-# ---------------------------------------------------------------------------
-# Module generation of Z^n via Smith normal form
-# ---------------------------------------------------------------------------
-
-def smith_invariant_factors(rows) -> tuple[int, ...]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
-    A = [list(map(int, r)) for r in rows]
-    if not A:
-        return ()
-    m, n = len(A), len(A[0])
-    for r in A:
-        if len(r) != n:
-            raise BadParams("rows of unequal length")
-    factors = []
-    top = 0
-    while top < min(m, n):
-        # find a nonzero entry in the remaining block
-        piv = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if A[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i, j = piv
-        A[top], A[i] = A[i], A[top]
-        for r in A:
-            r[top], r[j] = r[j], r[top]
-        while True:
-            # clear column top with row operations
-            for i in range(top + 1, m):
-                a, b = A[top][top], A[i][top]
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    for t in range(top, n):
-                        A[i][t] -= q * A[top][t]
-                else:
-                    x, y, g = _xgcd(a, b)
-                    ag, bg = a // g, b // g
-                    for t in range(top, n):
-                        at, bt = A[top][t], A[i][t]
-                        A[top][t] = x * at + y * bt
-                        A[i][t] = -bg * at + ag * bt
-            # clear row top with column operations
-            dirty = False
-            for j in range(top + 1, n):
-                a, b = A[top][top], A[top][j]
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    for r in A:
-                        r[j] -= q * r[top]
-                else:
-                    x, y, g = _xgcd(a, b)
-                    ag, bg = a // g, b // g
-                    for r in A:
-                        rt, rj = r[top], r[j]
-                        r[top] = x * rt + y * rj
-                        r[j] = -bg * rt + ag * rj
-                    dirty = True
-            if not dirty and all(A[i][top] == 0 for i in range(top + 1, m)):
-                break
-        # enforce divisibility: pivot must divide the rest of the block
-        piv_val = A[top][top]
-        offender = None
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if A[i][j] % piv_val:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for t in range(top, n):
-                A[top][t] += A[offender][t]
-            continue  # redo this pivot
-        factors.append(abs(piv_val))
-        top += 1
-    return tuple(factors)
-
-
-def generates_Zn_module(vectors) -> bool:
-    """True iff the vectors generate Z^n as a module: the Smith normal form
-    of the stacked matrix has n invariant factors, all equal to 1.
-    """
-    vectors = [list(v) for v in vectors]
-    if not vectors:
-        return False
-    n = len(vectors[0])
-    fac = smith_invariant_factors(vectors)
-    return len(fac) == n and all(d == 1 for d in fac)
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,8 @@ def exhaustive_poly_density(polys, N: int) -> Fraction:
     points of the row are counted by inclusion-exclusion over the
     squarefree divisors d of c, each term the number of points where d
     divides every other value.  Other rows take the gcd of every value.
+    The values of the other polynomials are int64 arrays, or object
+    arrays of Python ints when one of them could reach 2^62.
     """
     if N < 0:
         raise BadParams(f"half-width must be >= 0, got {N}")
@@ -258,19 +260,18 @@ def exhaustive_poly_density(polys, N: int) -> Fraction:
     total = (2 * N + 1) ** nvars
     if total > cap:
         raise TooLarge(f"{total} grid points exceed enumeration cap {cap}")
-    for terms in system:
-        if _value_bound(terms, N) >= 2 ** 62:
-            return _exhaustive_bigint(system, nvars, N, total)
     import numpy as np
 
     free = [t for t in system if all(e[-1] == 0 for e, _ in t)]
     rest = [t for t in system if any(e[-1] for e, _ in t)]
+    dtype = (object if any(_value_bound(t, N) >= 2 ** 62 for t in rest)
+             else np.int64)
     # the rest's values, and so the count for each d, are the same on
     # every row when no rest polynomial involves the fixed variables
     static = all(not any(e[:-1]) for t in rest for e, _ in t)
     count = 0
     for lo in range(-N, N + 1, _CHUNK):
-        xs = np.arange(lo, min(lo + _CHUNK, N + 1), dtype=np.int64)
+        xs = np.arange(lo, min(lo + _CHUNK, N + 1), dtype=dtype)
         vals = None
         memo: dict[int, int] = {}
         for fixed in itertools.product(range(-N, N + 1), repeat=nvars - 1):
@@ -289,7 +290,7 @@ def exhaustive_poly_density(polys, N: int) -> Fraction:
                 for v in vals[1:]:
                     g = np.gcd(g, np.abs(v))
                 if c:
-                    g = np.gcd(g, c)
+                    g = np.gcd(g.astype(object) if c >= 2 ** 62 else g, c)
                 count += int(np.count_nonzero(g == 1))
                 continue
             divisors = [(1, 1)]
@@ -306,25 +307,6 @@ def exhaustive_poly_density(polys, N: int) -> Fraction:
                     if static:
                         memo[d] = n
                 count += mu * n
-    return Fraction(count, total)
-
-
-def _exhaustive_bigint(system, nvars, N, total) -> Fraction:
-    count = 0
-    for point in itertools.product(range(-N, N + 1), repeat=nvars):
-        g = 0
-        for terms in system:
-            v = 0
-            for exps, c in terms:
-                t = c
-                for x, e in zip(point, exps):
-                    t *= x ** e
-                v += t
-            g = math.gcd(g, abs(v))
-            if g == 1:
-                break
-        if g == 1:
-            count += 1
     return Fraction(count, total)
 
 

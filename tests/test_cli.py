@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -123,6 +124,28 @@ def test_exhaustive(capsys):
     num, den = doc["density_exact"].split("/")
     assert int(den) == 41 ** 2
     assert abs(doc["density"] - int(num) / int(den)) < 1e-12
+
+
+_BIG70 = "1180591620717411303424"  # 2^70
+
+
+@pytest.mark.parametrize("polys", [
+    f'[{{"1,0": {_BIG70}}}, {{"0,1": 1}}]',
+    f'[{{"1,0": 1}}, {{"0,1": {_BIG70}}}]',
+], ids=["row-constant", "last-axis"])
+def test_exhaustive_stdout_past_int64(capsys, polys):
+    # 2^70 x makes row constants past 2^62; 2^70 y makes last-axis values
+    # past int64, which go to object arrays
+    code, out = run_cli(capsys, "exhaustive", "--polys", polys, "--N", "300")
+    assert code == 0
+    assert out == ('{"config": {"N": 300, "polys": ' + json.dumps(polys)
+                   + ', "polys_file": null, "subcommand": "exhaustive"}, '
+                   '"density": 0.40436765125235, '
+                   '"density_exact": "146058/361201"}\n')
+    # the count, point by point
+    (a,), (b,) = (f.values() for f in json.loads(polys))
+    box = range(-300, 301)
+    assert sum(math.gcd(a * x, b * y) == 1 for x in box for y in box) == 146058
 
 
 def test_mc(capsys):

@@ -124,7 +124,7 @@ def test_inv_examples():
         f4.inv(0)
 
 
-@pytest.mark.parametrize("p,s", [(5, 1), (2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("p,s", [(5, 1), (2, 2), (3, 2), (2, 3), (3, 5)])
 def test_field_axioms_seeded(p, s):
     ctx = make_field(p, s)
     rng = random.Random(20260808)

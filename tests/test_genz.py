@@ -1,4 +1,5 @@
 import itertools
+import math
 import multiprocessing
 import os
 import random
@@ -23,7 +24,6 @@ from algen.genz import (
     generates_Zn_module,
     hnf,
     m2f2_pair_orbits,
-    smith_invariant_factors,
     zero_one_census,
 )
 
@@ -344,13 +344,25 @@ def test_xgcd_bezout_against_euclid():
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Module generation of Z^n, against the gcd of maximal minors
 # ---------------------------------------------------------------------------
 
-def test_snf_examples():
-    assert smith_invariant_factors([[2, 0], [0, 4]]) == (2, 4)
-    assert smith_invariant_factors([[2, 0], [0, 3]]) == (1, 6)
-    assert smith_invariant_factors([[0, 0], [0, 0]]) == ()
+def _det(M) -> int:
+    """Leibniz determinant of a square integer matrix."""
+    out = 0
+    for perm in itertools.permutations(range(len(M))):
+        inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= M[i][j]
+        out += term
+    return out
+
+
+def _minor_gcd(rows, n: int) -> int:
+    """gcd of the n x n minors of the rows in Z^n: the index of their
+    span, 0 when it has rank below n (Newman, Integral Matrices, II)."""
+    return math.gcd(*(_det(M) for M in itertools.combinations(rows, n)))
 
 
 def test_generates_Zn_module():
@@ -358,6 +370,8 @@ def test_generates_Zn_module():
     assert not generates_Zn_module([(2,)])
     assert generates_Zn_module([(1, 0), (1, 2), (0, 3)])
     assert not generates_Zn_module([])
+    with pytest.raises(BadParams):
+        generates_Zn_module([(1, 0), (1,)])
 
 
 def test_snf_hnf_agreement_seeded():
@@ -366,8 +380,9 @@ def test_snf_hnf_agreement_seeded():
         n = rng.randrange(1, 5)
         rows = [[rng.randrange(-4, 5) for _ in range(n)]
                 for _ in range(rng.randrange(1, n + 3))]
-        lat = hnf(rows)
-        assert generates_Zn_module(rows) == (lat.rank == n and lat.index == 1)
+        index = _minor_gcd(rows, n)
+        assert hnf(rows).index == index
+        assert generates_Zn_module(rows) == (index == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +499,15 @@ def test_pair_class_weights_cover_all_pairs():
         classes = list(genff.f2_pair_classes(n, 0, q))
         assert sum(size for _a, _b, size in classes) == q * (q - 1) // 2
         assert len(classes) == {2: 49, 3: 11838}[n]
+
+
+def test_pair_class_size_is_the_number_of_images():
+    # the sizes come from stabilisers; count the images themselves
+    for n in (2, 3):
+        tables = genff._f2_symmetries(n)
+        for a, b, size in genff.f2_pair_classes(n, 0, 1 << (n * n)):
+            images = {tuple(sorted((t[a], t[b]))) for t in tables}
+            assert size == len(images), (n, a, b)
 
 
 def test_pair_classes_match_matrix_orbits_n2():
@@ -777,7 +801,7 @@ _BIG = 2 ** 200
          random.Random(0))
 def test_spans_Z3_against_snf_and_hnf(vecs, rng):
     verdict = genz._spans_Z3(vecs)
-    assert verdict == generates_Zn_module(vecs) == (hnf(vecs, 3).index == 1)
+    assert verdict == (_minor_gcd(vecs, 3) == 1) == (hnf(vecs, 3).index == 1)
     for _ in range(3):
         assert genz._spans_Z3(rng.sample(vecs, len(vecs))) == verdict
 
@@ -822,13 +846,3 @@ def test_hnf_against_sympy_hermite_normal_form():
                    for j in range(theirs.shape[1]))
         if ours.rank == ours.D:
             assert ours.index == abs(theirs.det())
-
-
-def test_smith_invariant_factors_against_sympy():
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import smith_normal_form
-
-    for rows in _random_integer_matrices(37, 60):
-        snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
-        diag = [abs(snf[i, i]) for i in range(min(snf.shape))]
-        assert smith_invariant_factors(rows) == tuple(d for d in diag if d)

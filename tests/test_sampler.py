@@ -153,7 +153,7 @@ def test_exhaustive_brute_oracle():
 
 
 def test_exhaustive_bigint_path_agrees():
-    # force the big-int fallback with a huge coefficient; density unchanged
+    # a coefficient of 2^70 puts the row constants past 2^62
     big = 2 ** 70
     d1 = exhaustive_poly_density([{(1, 0): big}, X2], 4)
     d2 = exhaustive_poly_density([{(1, 0): 1, (0, 0): 0}, X2], 4)
@@ -215,15 +215,17 @@ def test_exhaustive_rejects_negative_half_width():
         exhaustive_poly_density([X1, X2], -1)
 
 
-# -- the row-constant route against the big-integer loop
+# -- the row-constant route against a per-point loop
 #
 # On a row (all variables but the last fixed) the polynomials free of the
 # last variable have a gcd c.  Rows with c = 1 count whole, 0 < c < 2^20
 # go through the primes of c, and c = 0, c >= 2^20 or no polynomial free
 # of the last variable take the gcd of every value.  Each system below is
-# compared with sampler._exhaustive_bigint, which takes a gcd per point.
+# compared with _density_per_point, which takes a gcd per point in Python
+# integers.  A coefficient of 2^70 sends the values past int64, into
+# object arrays, and row constants past 2^62.
 
-COEFFS = (1, -1, 2, -2, 3, 6, 12, 30, 210, 2 ** 21)
+COEFFS = (1, -1, 2, -2, 3, 6, 12, 30, 210, 2 ** 21, 2 ** 70)
 BOX_N = {1: 12, 2: 5, 3: 2}
 
 
@@ -249,27 +251,38 @@ def _routes(polys, nvars):
     """Which routes the rows of the box take, found by direct evaluation."""
     free = [f for f in polys if all(e[-1] == 0 for e in f)]
     rest = [f for f in polys if any(e[-1] for e in f)]
+    N = BOX_N[nvars]
+    box = itertools.product(range(-N, N + 1), repeat=nvars)
+    tags = ({"rest past int64"}
+            if any(abs(_value(f, x)) >= 2 ** 63 for x in box for f in rest)
+            else set())
     if not free:
-        return {"no free polynomial"}
-    tags = {"no rest"} if not rest else set()
-    if rest:
+        return tags | {"no free polynomial"}
+    if not rest:
+        tags.add("no rest")
+    else:
         tags.add("rest depends on the row"
                  if any(any(e[:-1]) for f in rest for e in f)
                  else "rest fixed")
-    N = BOX_N[nvars]
     for row in itertools.product(range(-N, N + 1), repeat=nvars - 1):
         c = math.gcd(*(_value(f, row + (0,)) for f in free))
         tags.add("c = 0" if c == 0 else "c = 1" if c == 1
+                 else "c >= 2^62" if c >= 2 ** 62
                  else "c >= 2^20" if c >= 2 ** 20 else "primes of c")
     return tags
 
 
+def _density_per_point(polys, nvars, N) -> Fraction:
+    """The box density by the gcd of the values at every point."""
+    points = list(itertools.product(range(-N, N + 1), repeat=nvars))
+    good = sum(math.gcd(*(_value(f, x) for f in polys)) == 1 for x in points)
+    return Fraction(good, len(points))
+
+
 def _assert_matches_bigint(polys, nvars):
     N = BOX_N[nvars]
-    system, _ = sampler._normalize_system(polys)
-    assert all(sampler._value_bound(t, N) < 2 ** 62 for t in system)
-    want = sampler._exhaustive_bigint(system, nvars, N, (2 * N + 1) ** nvars)
-    assert exhaustive_poly_density(polys, N) == want, polys
+    assert (exhaustive_poly_density(polys, N)
+            == _density_per_point(polys, nvars, N)), polys
 
 
 @pytest.mark.parametrize("chunk", [sampler._CHUNK, 5])
@@ -284,7 +297,8 @@ def test_row_constant_route_matches_bigint_oracle(monkeypatch, chunk):
         seen |= _routes(polys, nvars)
     assert seen == {"no free polynomial", "no rest", "rest fixed",
                     "rest depends on the row", "c = 0", "c = 1",
-                    "c >= 2^20", "primes of c"}
+                    "c >= 2^20", "c >= 2^62", "primes of c",
+                    "rest past int64"}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
