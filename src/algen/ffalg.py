@@ -9,6 +9,7 @@ itself.  All matrices are dense, row-major tuples of element codes.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .errors import (
@@ -22,9 +23,6 @@ from .errors import (
 
 # Enumeration entry points never accept matrices larger than this.
 MAX_ENUM_N = 8
-
-# Multiplication tables are precomputed for extension fields up to this size.
-_TABLE_CAP = 512
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -79,7 +77,14 @@ def prime_power_split(q: int) -> tuple[int, int]:
 
 def _iroot(x: int, e: int) -> int:
     """Largest r with r**e <= x, for x >= 1, by integer Newton steps."""
-    r = 1 << -(-x.bit_length() // e)
+    # Newton steps from a start at or above the root fall to it and stop;
+    # from below, the start would be returned.  With the root's k low bits
+    # split off, x < (y + 1) 2^(k e) for y = x >> (k e); binary64 gives the
+    # at most 55 top bits of 2^k (y + 1)^(1/e) within 2^-44, so the 2^-31
+    # margin keeps the start above the root by less than a factor 1 + 2^-30.
+    k = max(x.bit_length() // e - 53, 0)
+    y = x >> (k * e)
+    r = (int(2 ** (math.log2(y + 1) / e) * (1 + 2 ** -31)) + 1) << k
     while True:
         t = ((e - 1) * r + x // r ** (e - 1)) // e
         if t >= r:
@@ -211,16 +216,13 @@ class FieldCtx:
     first.  This makes contexts deterministic: same (p, s), same field.
     """
 
-    __slots__ = ("p", "s", "q", "modulus", "_mul_table")
+    __slots__ = ("p", "s", "q", "modulus")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...] | None):
         self.p = p
         self.s = s
         self.q = p ** s
         self.modulus = modulus
-        self._mul_table = None
-        if s > 1 and self.q <= _TABLE_CAP:
-            self._build_mul_table()
 
     def __repr__(self):
         return f"FieldCtx(q={self.q})" if self.s == 1 else (
@@ -273,14 +275,9 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if self.s == 1:
             return a * b % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_slow(a, b)
-
-    def _mul_slow(self, a: int, b: int) -> int:
         prod = gfp_mod(gfp_mul(list(self.coeffs(a)), list(self.coeffs(b)), self.p),
                        list(self.modulus), self.p)
-        return self.from_coeffs(prod + [0] * (self.s - len(prod)))
+        return self.from_coeffs(prod)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -298,17 +295,6 @@ class FieldCtx:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def _build_mul_table(self):
-        q = self.q
-        table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            row = table[a]
-            for b in range(a, q):
-                v = self._mul_slow(a, b)
-                row[b] = v
-                table[b][a] = v
-        self._mul_table = table
 
     def elements_in_canonical_order(self):
         """All element codes sorted by coefficient vector, low degree first,
@@ -345,8 +331,9 @@ def multiplicative_generator(ctx: FieldCtx) -> int:
     """Smallest element (canonical order) of multiplicative order q - 1.
 
     The norm F_q* -> F_p* is a surjective homomorphism, so the norm of a
-    generator generates F_p*.  Candidates that fail this test, which takes
-    a determinant and powers mod p, are skipped before the powers in F_q.
+    generator generates F_p*.  For odd p, candidates that fail this test,
+    which takes a determinant and powers mod p, are skipped before the
+    powers in F_q; F_2* is trivial, so for p = 2 it would skip nothing.
     """
     target = ctx.q - 1
     if target == 1:
@@ -357,9 +344,10 @@ def multiplicative_generator(ctx: FieldCtx) -> int:
     for a in ctx.elements_in_canonical_order():
         if a == 0:
             continue
-        norm = _norm(ctx, a)
-        if any(pow(norm, (p - 1) // r, p) == 1 for r in p_factors):
-            continue
+        if p_factors:
+            norm = _norm(ctx, a)
+            if any(pow(norm, (p - 1) // r, p) == 1 for r in p_factors):
+                continue
         if all(ctx.pow(a, target // r) != 1 for r in factors):
             return a
     raise AssertionError("F_q* is cyclic; a generator must exist")
@@ -441,7 +429,8 @@ def mat_inv(ctx: FieldCtx, n: int, A) -> tuple[int, ...]:
 
 
 class FqEchelon:
-    """Incremental row echelon over F_q: tracks span dimension as rows arrive."""
+    """Incremental row echelon over F_q: tracks span dimension as rows arrive.
+    Pivots lie in the first width coordinates; any further ones ride along."""
 
     __slots__ = ("ctx", "width", "pivots")
 
@@ -454,25 +443,34 @@ class FqEchelon:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def insert(self, vec) -> bool:
-        """Reduce vec against the basis; insert the remainder. True if new."""
+    def reduce(self, vec) -> list[int]:
+        """The remainder of vec after elimination by every basis row."""
         ctx = self.ctx
         p = ctx.p if ctx.s == 1 else 0
         v = list(vec)
         for j in range(self.width):
             a = v[j]
-            if not a:
-                continue
-            row = self.pivots.get(j)
-            if row is None:
+            if a:
+                row = self.pivots.get(j)
+                if row is None:
+                    continue
+                if p:
+                    v = [(x - a * y) % p for x, y in zip(v, row)]
+                else:
+                    v = [ctx.sub(x, ctx.mul(a, y)) for x, y in zip(v, row)]
+        return v
+
+    def insert(self, vec) -> bool:
+        """Reduce vec against the basis; insert the remainder. True if new."""
+        ctx = self.ctx
+        v = self.reduce(vec)
+        for j in range(self.width):
+            a = v[j]
+            if a:
                 inv_a = ctx.inv(a)
-                self.pivots[j] = ([inv_a * x % p for x in v] if p
+                self.pivots[j] = ([inv_a * x % ctx.p for x in v] if ctx.s == 1
                                   else [ctx.mul(inv_a, x) for x in v])
                 return True
-            if p:
-                v = [(x - a * y) % p for x, y in zip(v, row)]
-            else:
-                v = [ctx.sub(x, ctx.mul(a, y)) for x, y in zip(v, row)]
         return False
 
 
@@ -492,7 +490,7 @@ def span_dimension(ctx: FieldCtx, vectors) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Group orders and Galois groups
+# Group orders
 # ---------------------------------------------------------------------------
 
 def group_orders(n: int, q: int) -> tuple[int, int]:
@@ -507,14 +505,3 @@ def group_orders(n: int, q: int) -> tuple[int, int]:
     assert gl % (q - 1) == 0
     return gl, gl // (q - 1)
 
-
-def _galois_order(ctx: FieldCtx, base_q: int) -> int:
-    """Order of Gal(F_{ctx.q} / F_{base_q})."""
-    s = 0
-    v = 1
-    while v < ctx.q:
-        v *= base_q
-        s += 1
-    if v != ctx.q:
-        raise BadParams(f"{base_q} is not a subfield size of {ctx.q}")
-    return s

@@ -621,12 +621,12 @@ def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
     decided and keyed by its orbit once; with orbit sizes c_1, c_2, ...,
     the m-tuples of pairwise distinct orbits number m! e_m(c_1, c_2, ...).
     """
-    ext = _ext_field(ctx, s)
     shape = shape_over_field(ctx, [(n, s, 1)])
-    mats = list(itertools.product(range(ext.q), repeat=n * n))
-    sizes = Counter(_orbit_key(ctx, ext, n, tup)
-                    for tup in itertools.product(mats, repeat=k)
-                    if generates(shape, [(a,) for a in tup]))
+    mats = [_element_coords(shape, (a,)) for a in
+            itertools.product(range(ctx.q ** s), repeat=n * n)]
+    sizes = Counter(_orbit_key(shape, vecs)
+                    for vecs in itertools.product(mats, repeat=k)
+                    if _decide(shape, vecs))
     if m > len(sizes):
         return 0
     # e[j]: elementary symmetric sum of degree j of the orbit sizes so far
@@ -637,57 +637,49 @@ def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
     return math.factorial(m) * e[m]
 
 
-def _orbit_key(ctx: FieldCtx, ext: FieldCtx, n: int, tup):
-    """A key of the generating tuple tup of M_n(ext) that is equal for two
-    tuples iff an automorphism of M_n(ext) as a ctx-algebra maps one to the
-    other: a conjugation composed with a power of x -> x^q, q = ctx.q.
+def _orbit_key(shape: AlgebraShape, vecs) -> tuple:
+    """A key of the generating tuple with coordinate vectors vecs in a
+    one-block F_q shape, equal for two tuples iff an automorphism of the
+    block as an F_q-algebra maps one to the other.
 
-    The words in tup, taken breadth-first from 1 and in generator order,
-    give a basis b_1 = 1, ..., b_{n^2} of M_n(ext): each word is kept if it
-    is independent of those kept before.  The key is the table of the
-    coordinates of every g_i b_j in that basis, least over its images
-    under x -> x^q.  A conjugation fixes the table, since it maps each
-    word to the same word of the image tuple; x -> x^q maps the table to
-    its image.  Conversely, if two tuples A and B have equal tables, the
-    linear map L: b_j(A) -> b_j(B) sends 1 to 1 and satisfies
-    L(g_i(A) x) = g_i(B) L(x), so it sends every word w(A) to w(B).  It is
-    therefore an algebra automorphism of M_n(ext), inner by Skolem-Noether.
+    The tuple is recoded over F_p (_over_prime_field, which adds x 1 as a
+    generator when q > p), and _closure takes its words breadth-first from
+    1, in generator order, until each basis word has been multiplied by
+    every generator: a word is kept as basis word b_j if it is independent
+    of those kept before.  The key lists, in that order, j for each kept
+    word and, for each other one, the tuple of its coordinates in the
+    basis, negated: the echelon rows carry their combinations of the b_j
+    as D tags.
 
-    Raises BadParams if the words of tup do not span M_n(ext).
+    An F_q-automorphism, a conjugation composed with a Frobenius power over
+    F_q, maps each word to the same word of the image tuple and so fixes
+    the key.  Conversely, if tuples T and T' have equal keys, the F_p-linear
+    map L: b_j(T) -> b_j(T') sends 1 to 1 and L(g b) = g' L(b) for every
+    generator g, x 1 included, so it maps every word to the same word: L is
+    an algebra automorphism that commutes with x 1, so F_q-linear.  No
+    Galois image needs to be tried.
+
+    Raises BadParams if the words of the tuple do not span the block.
     """
-    D = n * n
-    ech = FqEchelon(ext, D)
-    basis = [ffalg.mat_identity(n)]
-    ech.insert(basis[0])
-    products = []
-    for b in basis:
-        for g in tup:
-            w = mat_mul(ext, n, g, b)
-            products.extend(w)
-            if len(basis) < D and ech.insert(w):
-                basis.append(w)
-    if len(basis) < D:
+    shape, vecs = _over_prime_field(shape, vecs)
+    D = shape.rank
+    ech = FqEchelon(shape.ctx, D)
+    key = []
+
+    def add(w):
+        r = ech.reduce(w + [0] * D)
+        if not any(r[:D]):
+            key.append(tuple(r[D:]))
+            return False
+        key.append(ech.dim)
+        r[D + ech.dim] = 1
+        return ech.insert(r)
+
+    _closure(add, lambda: 0, shape.ctx.p, _scalar_coords(shape),
+             [left_mul_ops(shape, v) for v in vecs])
+    if ech.dim < D:
         raise BadParams("orbit keys are defined for generating tuples only")
-    # the coordinates c of a row v in the basis solve c B = v: c = v B^-1,
-    # taken for the k D product rows D at a time
-    inv = ffalg.mat_inv(ext, D, sum(basis, ()))
-    key = tuple(itertools.chain.from_iterable(
-        mat_mul(ext, D, products[i:i + D * D], inv)
-        for i in range(0, len(products), D * D)))
-    best = key
-    for _ in range(ffalg._galois_order(ext, ctx.q) - 1):
-        key = tuple(ext.pow(a, ctx.q) for a in key)
-        best = min(best, key)
-    return best
-
-
-def _ext_field(ctx: FieldCtx, s: int) -> FieldCtx:
-    if s == 1:
-        return ctx
-    if ctx.s > 1:
-        raise UnsupportedSize(
-            "extension blocks are only supported over a prime base field")
-    return make_field(ctx.p, s)
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +805,8 @@ def two_generators_ext(n: int, q: int, s: int = 1):
     if n < 1:
         raise BadParams("n must be >= 1")
     p, e = ffalg.prime_power_split(q)
-    ctx = make_field(p, e)
-    ext = _ext_field(ctx, s)
+    ext = make_field(p, e * s)
+    shape = shape_over_field(make_field(p, e), [(n, s, 1)])
     u = ffalg.multiplicative_generator(ext)
     A = [0] * (n * n)
     A[0] = u
@@ -826,7 +818,6 @@ def two_generators_ext(n: int, q: int, s: int = 1):
         for i in range(n - 1):
             B[(i + 1) * n + i] = 1  # E_{i+1,i}
     A, B = tuple(A), tuple(B)
-    shape = shape_over_field(ctx, [(n, s, 1)])
     if not generates(shape, [(A,), (B,)]):
         raise AssertionError("two-generator construction failed its closure check")
     return ext, A, B

@@ -8,7 +8,19 @@ import itertools
 from functools import lru_cache
 
 from algen import ffalg
-from algen.errors import DimensionMismatch
+from algen.errors import BadParams, DimensionMismatch
+
+
+def galois_order(ctx, base_q: int) -> int:
+    """Order of Gal(F_{ctx.q} / F_{base_q})."""
+    s = 0
+    v = 1
+    while v < ctx.q:
+        v *= base_q
+        s += 1
+    if v != ctx.q:
+        raise BadParams(f"{base_q} is not a subfield size of {ctx.q}")
+    return s
 
 
 @lru_cache(maxsize=8)
@@ -51,7 +63,7 @@ def are_conjugate_tuples(ctx, t1, t2, include_galois=False,
     twists = [tuple(t1)]
     if include_galois and ctx.s > 1:
         # Galois twists of t1: powers of the Frobenius x -> x^base_q.
-        for _ in range(ffalg._galois_order(ctx, base_q) - 1):
+        for _ in range(galois_order(ctx, base_q) - 1):
             twists.append(tuple(frobenius(ctx, a, base_q)
                                 for a in twists[-1]))
 

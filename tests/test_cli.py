@@ -411,24 +411,41 @@ def test_numpy_is_imported_only_by_the_grid_commands():
     assert res.returncode == 0, res.stderr
 
 
-def _traced_calls(*argv):
-    """Run one command with the benchmark's tracer installed; its stdout
-    lines and the calls counted per traced layer."""
+def _run_traced(code: str):
+    """Run code in a fresh interpreter after installing the benchmark's
+    tracer, t, on the algen under test; exit 0 is asserted."""
     src = os.path.dirname(os.path.dirname(algen.__file__))
     perfbench = os.path.join(os.path.dirname(src), "perfbench")
-    code = (
+    prelude = (
         "import json, sys\n"
         f"sys.path[:0] = [{perfbench!r}, {src!r}]\n"
         "import tracer\n"
         "t = tracer.Tracer()\n"
         "tracer.install(t)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", prelude + code],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    return res
+
+
+def test_benchmark_tracer_installs():
+    # tracer.install looks each wrapped name up by getattr with no default
+    # (FqEchelon.insert, genff.mat_mul, ...): renaming one of them makes it
+    # raise, and perfbench/run.py --trace 1 with it
+    res = _run_traced("import algen\nprint(algen.__file__)\n")
+    src = os.path.dirname(os.path.dirname(algen.__file__))
+    assert res.stdout.strip().startswith(src)
+
+
+def _traced_calls(*argv):
+    """Run one command with the benchmark's tracer installed; its stdout
+    lines and the calls counted per traced layer."""
+    res = _run_traced(
         "import algen.cli\n"
         f"algen.cli.main({list(argv)!r})\n"
         "print(json.dumps({k: v['calls'] for k, v in t.summary().items()}))\n"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=60)
-    assert res.returncode == 0, res.stderr
     out = res.stdout.splitlines()
     return out[:-1], json.loads(out[-1])
 

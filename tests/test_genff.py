@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from conjugacy import are_conjugate_tuples, frobenius
+from conjugacy import are_conjugate_tuples, frobenius, galois_order
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from listclosure import list_closure_generates
@@ -503,20 +503,28 @@ def test_generates_power():
     g = (1, 1, 0, 0, 1, 1, 0, 0, 1)
     ginv = ffalg.mat_inv(f2, 3, g)
     conj = tuple(mat_mul(f2, 3, mat_mul(f2, 3, g, a), ginv) for a in (A, B))
-    key = genff._orbit_key(f2, f2, 3, (A, B))
-    assert conj != (A, B) and genff._orbit_key(f2, f2, 3, conj) == key
+    key = _orbit_key(f2, 1, 3, (A, B))
+    assert conj != (A, B) and _orbit_key(f2, 1, 3, conj) == key
     assert not generates(two, _power_tuple([(A, B), conj]))
     other = (B, A)
-    assert genff._orbit_key(f2, f2, 3, other) != key
+    assert _orbit_key(f2, 1, 3, other) != key
     assert generates(two, _power_tuple([(A, B), other]))
 
 
-def _random_generating(rng, ctx, ext, n, k):
-    """A random k-tuple of M_n(ext) that generates it over the prime
-    field ctx."""
-    shape = shape_over_field(ctx, [(n, ext.s, 1)])
+def _orbit_key(ctx, s, n, t):
+    """genff._orbit_key of the tuple t of M_n(F_{q^s}) matrices, the
+    block taken as an algebra over ctx = F_q."""
+    shape = shape_over_field(ctx, [(n, s, 1)])
+    return genff._orbit_key(shape, [genff._element_coords(shape, (a,))
+                                    for a in t])
+
+
+def _random_generating(rng, ctx, ext, n, k, entries=None):
+    """A random k-tuple of M_n(ext) that generates it over ctx, its
+    entries drawn from the first `entries` codes (all of ext by default)."""
+    shape = shape_over_field(ctx, [(n, galois_order(ext, ctx.q), 1)])
     while True:
-        t = tuple(tuple(rng.randrange(ext.q) for _ in range(n * n))
+        t = tuple(tuple(rng.randrange(entries or ext.q) for _ in range(n * n))
                   for _ in range(k))
         if generates(shape, [(a,) for a in t]):
             return t
@@ -531,7 +539,7 @@ def _random_automorphism_image(rng, ctx, ext, n, t):
                                       for i in range(n)]) == n:
             break
     ginv = ffalg.mat_inv(ext, n, g)
-    j = rng.randrange(ffalg._galois_order(ext, ctx.q))
+    j = rng.randrange(galois_order(ext, ctx.q))
     out = []
     for a in t:
         for _ in range(j):
@@ -553,8 +561,7 @@ def test_orbit_key_is_automorphism_invariant():
         for _ in range(samples):
             t = _random_generating(rng, ctx, ext, n, 2)
             image = _random_automorphism_image(rng, ctx, ext, n, t)
-            assert (genff._orbit_key(ctx, ext, n, t)
-                    == genff._orbit_key(ctx, ext, n, image))
+            assert _orbit_key(ctx, s, n, t) == _orbit_key(ctx, s, n, image)
 
 
 def test_orbit_key_matches_conjugacy_oracle():
@@ -569,8 +576,7 @@ def test_orbit_key_matches_conjugacy_oracle():
             t1 = _random_generating(rng, ctx, ext, n, 2)
             t2 = (_random_automorphism_image(rng, ctx, ext, n, t1)
                   if rng.randrange(2) else _random_generating(rng, ctx, ext, n, 2))
-            same = (genff._orbit_key(ctx, ext, n, t1)
-                    == genff._orbit_key(ctx, ext, n, t2))
+            same = _orbit_key(ctx, s, n, t1) == _orbit_key(ctx, s, n, t2)
             assert same == are_conjugate_tuples(ext, t1, t2, include_galois=True,
                                                 base_q=p)
             seen.add(same)
@@ -580,7 +586,33 @@ def test_orbit_key_matches_conjugacy_oracle():
 def test_orbit_key_refuses_non_generating_tuples():
     f2 = make_field(2)
     with pytest.raises(BadParams):
-        genff._orbit_key(f2, f2, 2, (E12, E12))
+        _orbit_key(f2, 1, 2, (E12, E12))
+
+
+# (q, samples): M_2(F_q) as an algebra over F_q itself, q = p^2
+_BASE_FIELD_CASES = ((4, 60), (9, 6))
+
+
+def test_orbit_key_over_a_prime_power_base_field():
+    # over F_q, q = p^2, the automorphisms are the conjugations: a tuple
+    # and its Frobenius twin (x -> x^p on every entry) share a key iff the
+    # GL_2 sweep, which applies no twist over F_q, finds a conjugation.
+    # Every third tuple is a conjugate of one over F_p, whose twin is
+    # conjugate to it.  Leaving x 1 out of the key's generators fails here.
+    rng = random.Random(37)
+    for q, samples in _BASE_FIELD_CASES:
+        ctx = make_field(*ffalg.prime_power_split(q))
+        seen = set()
+        for i in range(samples):
+            t = _random_generating(rng, ctx, ctx, 2, 2,
+                                   entries=ctx.p if i % 3 == 0 else None)
+            t = _random_automorphism_image(rng, ctx, ctx, 2, t)
+            twin = tuple(frobenius(ctx, a, ctx.p) for a in t)
+            same = _orbit_key(ctx, 1, 2, t) == _orbit_key(ctx, 1, 2, twin)
+            assert same == are_conjugate_tuples(ctx, t, twin,
+                                                include_galois=True, base_q=q)
+            seen.add(same)
+        assert seen == {True, False}
 
 
 def test_brute_with_galois_scalars():
@@ -630,8 +662,7 @@ def test_generates_power_agrees_with_product_closure():
                 c2 = _random_automorphism_image(rng, ctx, ctx, 2, c1)
             via_criterion = (
                 all(generates(one, _power_tuple([c])) for c in (c1, c2))
-                and genff._orbit_key(ctx, ctx, 2, c1)
-                != genff._orbit_key(ctx, ctx, 2, c2))
+                and _orbit_key(ctx, 1, 2, c1) != _orbit_key(ctx, 1, 2, c2))
             assert generates(two, _power_tuple([c1, c2])) == via_criterion
             seen.add(via_criterion)
         assert seen == {True, False}

@@ -374,7 +374,7 @@ def test_generates_Zn_module():
         generates_Zn_module([(1, 0), (1,)])
 
 
-def test_snf_hnf_agreement_seeded():
+def test_hnf_index_matches_minor_gcd_seeded():
     rng = random.Random(31)
     for _ in range(400):
         n = rng.randrange(1, 5)
@@ -799,7 +799,7 @@ _BIG = 2 ** 200
 # pivot past 64 bits
 @example([[2 * _BIG + 1, 0, 0], [_BIG, 1, 0], [0, 0, -1], [0, 1, 0]],
          random.Random(0))
-def test_spans_Z3_against_snf_and_hnf(vecs, rng):
+def test_spans_Z3_against_minor_gcd_and_hnf(vecs, rng):
     verdict = genz._spans_Z3(vecs)
     assert verdict == (_minor_gcd(vecs, 3) == 1) == (hnf(vecs, 3).index == 1)
     for _ in range(3):

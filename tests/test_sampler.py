@@ -152,7 +152,7 @@ def test_exhaustive_brute_oracle():
     assert exhaustive_poly_density([X1, X2], N) == Fraction(count, (2 * N + 1) ** 2)
 
 
-def test_exhaustive_bigint_path_agrees():
+def test_exhaustive_huge_coefficient_matches_gcd_loop():
     # a coefficient of 2^70 puts the row constants past 2^62
     big = 2 ** 70
     d1 = exhaustive_poly_density([{(1, 0): big}, X2], 4)
@@ -279,21 +279,21 @@ def _density_per_point(polys, nvars, N) -> Fraction:
     return Fraction(good, len(points))
 
 
-def _assert_matches_bigint(polys, nvars):
+def _assert_matches_per_point(polys, nvars):
     N = BOX_N[nvars]
     assert (exhaustive_poly_density(polys, N)
             == _density_per_point(polys, nvars, N)), polys
 
 
 @pytest.mark.parametrize("chunk", [sampler._CHUNK, 5])
-def test_row_constant_route_matches_bigint_oracle(monkeypatch, chunk):
+def test_row_constant_route_matches_per_point_oracle(monkeypatch, chunk):
     # a chunk of 5 points splits every row, so the memo runs per chunk
     monkeypatch.setattr(sampler, "_CHUNK", chunk)
     rng = random.Random(14)
     seen = set()
     for _ in range(300):
         polys, nvars = _system(rng.choice)
-        _assert_matches_bigint(polys, nvars)
+        _assert_matches_per_point(polys, nvars)
         seen |= _routes(polys, nvars)
     assert seen == {"no free polynomial", "no rest", "rest fixed",
                     "rest depends on the row", "c = 0", "c = 1",
@@ -303,8 +303,8 @@ def test_row_constant_route_matches_bigint_oracle(monkeypatch, chunk):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
-def test_row_constant_route_matches_bigint_property(data):
-    _assert_matches_bigint(*_system(lambda opts: data.draw(st.sampled_from(opts))))
+def test_row_constant_route_matches_per_point_property(data):
+    _assert_matches_per_point(*_system(lambda opts: data.draw(st.sampled_from(opts))))
 
 
 class _GcdCalled(Exception):
