@@ -19,14 +19,23 @@ from .errors import (
     AlgenError,
     InvalidJSON,
     ResourceError,
+    TooLarge,
     ValidationError,
 )
 
 _BIG = 2 ** 53
 
 
+def _enc_str(v: int) -> str:
+    """v in decimal; TooLarge past Python's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(v) >= 10 ** limit:
+        raise TooLarge(f"a result has more than {limit} decimal digits")
+    return str(v)
+
+
 def _enc_int(v: int):
-    return v if -_BIG < v < _BIG else str(v)
+    return v if -_BIG < v < _BIG else _enc_str(v)
 
 
 def _dec_int(v) -> int:
@@ -142,27 +151,27 @@ def _density_payload(dv: density.DensityValue) -> dict:
 
 def _cmd_count(args, config: dict) -> int:
     if args.mode in ("brute", "verify"):
-        rep = genff.brute_count(args.k, args.n, args.q, s=args.s, m=args.m,
-                                threads=args.threads)
-        brute = rep.value
+        brute = genff.brute_count(args.k, args.n, args.q, s=args.s, m=args.m,
+                                  threads=args.threads)
     if args.mode in ("formula", "verify"):
         if args.m == 1 and args.s == 1:
             formula = genff.g_closed_form(args.k, args.n, args.q)
         else:
             formula = genff.count_gen_power_formula(
-                args.k, args.n, args.q, args.s, args.m)
+                args.k, args.n, args.q, args.s, args.m,
+                max_digits=sys.get_int_max_str_digits())
     # tuple counts are big-integer quantities: always decimal strings
     if args.mode == "brute":
-        _emit(config, {"method": "brute", "value": str(brute)})
+        _emit(config, {"method": "brute", "value": _enc_str(brute)})
     elif args.mode == "formula":
-        _emit(config, {"method": "formula", "value": str(formula)})
+        _emit(config, {"method": "formula", "value": _enc_str(formula)})
     else:
         if brute != formula:
-            _emit(config, {"error": "oracle mismatch",
-                           "brute": str(brute), "formula": str(formula)})
+            _emit(config, {"error": "oracle mismatch", "brute": _enc_str(brute),
+                           "formula": _enc_str(formula)})
             return 1
-        _emit(config, {"method": "verify", "value": str(brute),
-                       "brute": str(brute), "formula": str(formula)})
+        _emit(config, {"method": "verify", "value": _enc_str(brute),
+                       "brute": _enc_str(brute), "formula": _enc_str(formula)})
     return 0
 
 
@@ -238,7 +247,7 @@ def _cmd_checkgen(args, config: dict) -> int:
     rep = genz.generates_Z(shape, t)
     _emit(config, {
         "generates": rep.generates,
-        "index": str(rep.index),
+        "index": _enc_str(rep.index),
         "bad_primes": list(rep.bad_primes),
     })
     return 0

@@ -15,7 +15,6 @@ from functools import lru_cache
 from .errors import (
     BadDegree,
     BadParams,
-    DimensionMismatch,
     DivisionByZero,
     FactorizationIncomplete,
     NonPrime,
@@ -410,24 +409,6 @@ def mat_transpose(n: int, A) -> tuple[int, ...]:
     return tuple(A[j * n + i] for i in range(n) for j in range(n))
 
 
-def mat_inv(ctx: FieldCtx, n: int, A) -> tuple[int, ...]:
-    """Inverse of A: the rows of [A | I] are brought to echelon form on the
-    columns of A and back-substituted; DivisionByZero if A is singular."""
-    ech = FqEchelon(ctx, n)
-    for i in range(n):
-        ech.insert(list(A[i * n:(i + 1) * n]) + [int(j == i) for j in range(n)])
-    if ech.dim < n:
-        raise DivisionByZero("singular matrix has no inverse")
-    rows = [ech.pivots[j] for j in range(n)]
-    for j in reversed(range(n)):
-        for i in range(j):
-            f = rows[i][j]
-            if f:
-                rows[i] = [ctx.sub(x, ctx.mul(f, y))
-                           for x, y in zip(rows[i], rows[j])]
-    return tuple(v for row in rows for v in row[n:])
-
-
 class FqEchelon:
     """Incremental row echelon over F_q: tracks span dimension as rows arrive.
     Pivots lie in the first width coordinates; any further ones ride along."""
@@ -472,21 +453,6 @@ class FqEchelon:
                                   else [ctx.mul(inv_a, x) for x in v])
                 return True
         return False
-
-
-def span_dimension(ctx: FieldCtx, vectors) -> int:
-    """Rank of the span of coordinate vectors over F_q; 0 for no vectors."""
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    width = len(vectors[0])
-    for v in vectors:
-        if len(v) != width:
-            raise DimensionMismatch("vectors of unequal length")
-    ech = FqEchelon(ctx, width)
-    for v in vectors:
-        ech.insert(v)
-    return ech.dim
 
 
 # ---------------------------------------------------------------------------

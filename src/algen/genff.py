@@ -94,17 +94,6 @@ def shape_over_Z(blocks) -> AlgebraShape:
     return AlgebraShape(tuple((n, 1, m) for n, m in blocks), None)
 
 
-@dataclass(frozen=True)
-class CountReport:
-    method: str               # "brute" | "formula"
-    value: int
-    params: tuple             # (k, n, q, s, m)
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise BadParams("counts are nonnegative")
-
-
 # ---------------------------------------------------------------------------
 # The closure test: does a tuple generate the whole algebra?
 #
@@ -118,7 +107,8 @@ class CountReport:
 
 def _check_tuple(shape: AlgebraShape, t) -> tuple:
     """t as a tuple of elements, each a tuple of integer matrices that match
-    the shape's slots; ShapeMismatch otherwise."""
+    the shape's slots; ShapeMismatch otherwise.  Over F_q an entry of a
+    block (n, s, m) is an element code in [0, q^s); BadParams otherwise."""
     sizes = shape.slot_sizes()
     out = []
     for elem in t:
@@ -131,6 +121,12 @@ def _check_tuple(shape: AlgebraShape, t) -> tuple:
                 raise ShapeMismatch("matrix size does not match shape")
             mats.append(mat)
         out.append(tuple(mats))
+    if shape.ctx is not None:
+        qs = [shape.ctx.q ** s for _n, s, m in shape.blocks for _ in range(m)]
+        for elem in out:
+            for mat, q in zip(elem, qs):
+                if not all(0 <= v < q for v in mat):
+                    raise BadParams(f"entries over F_{q} must lie in [0, {q})")
     return tuple(out)
 
 
@@ -286,7 +282,7 @@ def _generates_generic(shape: AlgebraShape, vecs) -> bool:
     D = shape.rank
     if ctx.p == 2:
         return _f2_span_generates(D, _f2_one(shape),
-                                  [_f2_masks(shape, v) for v in vecs])
+                                  [_f2_masks(shape, tuple(v)) for v in vecs])
     ech = FqEchelon(ctx, D)
     _closure(ech.insert, lambda: int(ech.dim == D), ctx.p,
              _scalar_coords(shape), [left_mul_ops(shape, v) for v in vecs])
@@ -387,43 +383,13 @@ def _f2_generates(n: int, codes) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def _f2_row_masks(n: int, s: int, row: int) -> tuple[int, ...]:
-    """B[v] for one row of a generator g in block (n, s, m), row being
-    its n entries as n s bits: the OR over i of row v of the F_2 matrix
-    of x -> g[r, i] x (a bit mask over the s source coefficients),
-    shifted to entry (i, 0)."""
-    ext = make_field(2, s)
-    emask = (1 << s) - 1
-    B = [0] * s
-    for i in range(n):
-        a = row >> (i * s) & emask
-        if a:
-            for v, act in enumerate(_mul_action(ext, a)):
-                B[v] |= _f2_encode(act) << (i * n * s)
-    return tuple(B)
-
-
-def _f2_masks(shape: AlgebraShape, coords) -> list[int]:
+def _f2_masks(shape: AlgebraShape, coords: tuple) -> tuple[int, ...]:
     """v -> g v over F_2 as D row masks, g the element with the given
-    coordinates: bit j of g v is the parity of masks[j] & v.
-
-    In block (n, s, m) the mask of product coordinate (r, c, v) is
-    B[r][v] << (off + c s), B[r] from _f2_row_masks.  Its set bits are
-    the sources that left_mul_ops lists for that coordinate.
-    """
-    g = _f2_encode(coords)
-    masks = []
-    off = 0
-    for n, s, m in shape.blocks:
-        ns = n * s
-        row_mask = (1 << ns) - 1
-        for _ in range(m):
-            for r in range(n):
-                B = _f2_row_masks(n, s, g >> (off + r * ns) & row_mask)
-                for c in range(off, off + ns, s):
-                    masks.extend([b << c for b in B])
-            off += n * ns
-    return masks
+    coordinates: mask j has bit t set for each source t of row j of
+    left_mul_ops with an odd coefficient, so bit j of g v is the parity
+    of masks[j] & v."""
+    return tuple(sum((c & 1) << t for t, c in row)
+                 for row in left_mul_ops(shape, coords))
 
 
 @lru_cache(maxsize=64)
@@ -535,7 +501,7 @@ def f2_pair_classes(n: int, lo: int, hi: int):
 # ---------------------------------------------------------------------------
 
 def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
-                threads: int = 1) -> CountReport:
+                threads: int = 1) -> int:
     """Exact count of generating k-tuples of (M_n(F_{q^s}))^m over F_q,
     by exhaustive enumeration.
     """
@@ -551,10 +517,8 @@ def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
         raise TooLarge(f"{states} states exceed enumeration cap {cap}")
     ctx = make_field(p, e)
     if m == 1:
-        value = _brute_single(k, n, ctx, s, threads)
-    else:
-        value = _brute_power(k, n, ctx, s, m)
-    return CountReport("brute", value, (k, n, q, s, m))
+        return _brute_single(k, n, ctx, s, threads)
+    return _brute_power(k, n, ctx, s, m)
 
 
 def _brute_single(k: int, n: int, ctx: FieldCtx, s: int, threads: int) -> int:
@@ -741,9 +705,14 @@ def gen_count(k: int, n: int, q: int) -> int:
     return val
 
 
-def count_gen_power_formula(k: int, n: int, q: int, s: int, m: int) -> int:
+def count_gen_power_formula(k: int, n: int, q: int, s: int, m: int,
+                            max_digits: int = 0) -> int:
     """|Gen_k((M_n(F_{q^s}))^m, F_q)| as the falling-factorial product
     prod_{i=0}^{m-1} (g - i*t) with t = s * |PGL_n(F_{q^s})|.
+
+    With max_digits > 0 (0 means no limit, as for
+    sys.get_int_max_str_digits), TooLarge as soon as the product has more
+    decimal digits than that.
     """
     if m < 1:
         raise BadParams("m must be >= 1")
@@ -751,16 +720,21 @@ def count_gen_power_formula(k: int, n: int, q: int, s: int, m: int) -> int:
         g = g_closed_form(k, n, q)
     else:
         try:
-            g = brute_count(k, n, q, s=s, m=1).value
+            g = brute_count(k, n, q, s=s, m=1)
         except TooLarge as exc:
             raise UnsupportedSize(f"no source for g: {exc}") from exc
     _gl, pgl = ffalg.group_orders(n, q ** s)
     t = s * pgl
+    # the automorphisms, t of them, act freely on generating tuples, so t
+    # divides g and the factor g - (g / t) t is the first that vanishes
+    if m > g // t:
+        return 0
+    cap = 10 ** max_digits if max_digits else math.inf
     total = 1
     for i in range(m):
         total *= g - i * t
-        if total == 0:
-            return 0
+        if total >= cap:
+            raise TooLarge(f"the count has more than {max_digits} decimal digits")
     return total
 
 

@@ -57,10 +57,6 @@ class _ZEchelon:
         self.D = D
         self.rows: dict[int, list[int]] = {}
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def index_if_full(self) -> int:
         """Product of pivots when full rank, else 0."""
         if len(self.rows) < self.D:
@@ -106,20 +102,6 @@ class _ZEchelon:
                 v = newv
                 changed = True
         return changed
-
-    def contains(self, vec) -> bool:
-        v = list(vec)
-        for j in range(self.D):
-            a = v[j]
-            if not a:
-                continue
-            row = self.rows.get(j)
-            if row is None or a % row[j]:
-                return False
-            q = a // row[j]
-            for t in range(j, self.D):
-                v[t] -= q * row[t]
-        return True
 
     def canonical_basis(self) -> tuple[tuple[int, ...], ...]:
         """Hermite normal form: entries above each pivot reduced into [0, pivot)."""
@@ -183,12 +165,6 @@ def hnf(rows, D: int | None = None) -> Lattice:
             raise BadParams("rows of unequal length")
         ech.add(r)
     return Lattice(D, ech.canonical_basis())
-
-
-def generates_Zn_module(vectors) -> bool:
-    """True iff the vectors generate Z^n as a module: their HNF has index 1."""
-    rows = [list(map(int, v)) for v in vectors]
-    return bool(rows) and hnf(rows).index == 1
 
 
 # ---------------------------------------------------------------------------

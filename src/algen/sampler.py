@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import genff, genz
 from .errors import BadParams, TooLarge
-from .ffalg import is_prime, make_field, prime_factors
+from .ffalg import make_field, prime_factors
 from .genff import AlgebraShape, enum_cap
 from .parutil import sharded_sum
 
@@ -193,9 +193,8 @@ def _value_bound(terms, N: int) -> int:
     return sum(abs(c) * max(N, 1) ** sum(exps) for exps, c in terms)
 
 
-def _eval_last_axis(terms, fixed, xs, p: int | None = None):
-    """Evaluate at (fixed..., xs) with numpy Horner over the last variable;
-    with a modulus p every step is reduced mod p."""
+def _eval_last_axis(terms, fixed, xs):
+    """Evaluate at (fixed..., xs) with numpy Horner over the last variable."""
     import numpy as np
 
     by_deg: dict[int, int] = {}
@@ -203,19 +202,15 @@ def _eval_last_axis(terms, fixed, xs, p: int | None = None):
         scalar = c
         for v, e in zip(fixed, exps[:-1]):
             if e:
-                scalar *= pow(v, e, p)
+                scalar *= v ** e
         d = exps[-1]
         by_deg[d] = by_deg.get(d, 0) + scalar
     if not by_deg:
         return np.zeros_like(xs)
-    if p is not None:
-        by_deg = {d: c % p for d, c in by_deg.items()}
     maxd = max(by_deg)
     acc = np.full_like(xs, by_deg[maxd])
     for d in range(maxd - 1, -1, -1):
         acc = acc * xs + by_deg.get(d, 0)
-        if p is not None:
-            acc %= p
     return acc
 
 
@@ -308,28 +303,3 @@ def exhaustive_poly_density(polys, N: int) -> Fraction:
                         memo[d] = n
                 count += mu * n
     return Fraction(count, total)
-
-
-def local_zero_count(polys, p: int, n: int | None = None) -> int:
-    """Number of common zeros of the system in F_p^n, by enumeration."""
-    if not is_prime(p):
-        raise BadParams(f"p = {p} is not prime")
-    system, nvars = _normalize_system(polys)
-    if n is not None and n != nvars:
-        raise BadParams(f"system has {nvars} variables, not {n}")
-    cap = enum_cap()
-    if p ** nvars > cap:
-        raise TooLarge(f"{p ** nvars} points exceed enumeration cap {cap}")
-    import numpy as np
-
-    count = 0
-    for lo in range(0, p, _CHUNK):
-        xs = np.arange(lo, min(lo + _CHUNK, p), dtype=np.int64)
-        for fixed in itertools.product(range(p), repeat=nvars - 1):
-            mask = None
-            for terms in system:
-                zero = _eval_last_axis(terms, fixed, xs, p) == 0
-                mask = zero if mask is None else (mask & zero)
-            count += int(np.count_nonzero(mask))
-    return count
-

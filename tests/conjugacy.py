@@ -23,15 +23,31 @@ def galois_order(ctx, base_q: int) -> int:
     return s
 
 
+def is_invertible(ctx, n: int, g) -> bool:
+    """True iff the rows of the n x n matrix g are independent over ctx."""
+    ech = ffalg.FqEchelon(ctx, n)
+    for i in range(n):
+        ech.insert(g[i * n:(i + 1) * n])
+    return ech.dim == n
+
+
 @lru_cache(maxsize=8)
 def gl_elements(ctx, n: int) -> tuple[tuple[int, ...], ...]:
     """All invertible n x n matrices over ctx, in code order."""
-    out = []
-    for entries in itertools.product(range(ctx.q), repeat=n * n):
-        rows = (entries[i * n:(i + 1) * n] for i in range(n))
-        if ffalg.span_dimension(ctx, rows) == n:
-            out.append(entries)
-    return tuple(out)
+    return tuple(g for g in itertools.product(range(ctx.q), repeat=n * n)
+                 if is_invertible(ctx, n, g))
+
+
+def inverse(ctx, n: int, g) -> tuple[int, ...]:
+    """g^(|GL_n(q)| - 1), the inverse of an invertible g by Lagrange."""
+    e = ffalg.group_orders(n, ctx.q)[0] - 1
+    out, sq = ffalg.mat_identity(n), tuple(g)
+    while e:
+        if e & 1:
+            out = ffalg.mat_mul(ctx, n, out, sq)
+        sq = ffalg.mat_mul(ctx, n, sq, sq)
+        e >>= 1
+    return out
 
 
 def frobenius(ctx, a, base_q: int) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -347,6 +348,48 @@ def test_count_probable_prime_q_exits_3():
                           "--q", "318665857834031151167461", "--formula")
     assert res.returncode == 3 and res.stdout == ""
     assert "probable prime" in res.stderr
+
+
+_PAST_STR_LIMIT = {
+    "count-power": ["count", "--k", "2", "--n", "2", "--q", "1000003",
+                    "--m", "1000"],
+    "count-power-long": ["count", "--k", "2", "--n", "2", "--q", "1000003",
+                         "--m", "100000"],
+    "count-closed-form": ["count", "--k", "3000", "--n", "3", "--q", "1000003"],
+    "poly-eval": ["poly", "--family", "f", "--k", "3000", "--eval", "1000003"],
+    "checkgen-index": ["checkgen"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PAST_STR_LIMIT))
+def test_results_past_the_int_str_limit_exit_3(case, tmp_path):
+    # Python refuses to print integers of more than 4300 digits; the CLI
+    # refuses them before (exit 3), and the power count stops early
+    argv = list(_PAST_STR_LIMIT[case])
+    if case == "checkgen-index":
+        # an element of M_1(Z)^3 whose closure has index 2^42001
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"k": 1, "elements": [[
+            {"n": 1, "entries": [0]}, {"n": 1, "entries": [str(2 ** 14000)]},
+            {"n": 1, "entries": [str(2 ** 14001)]}]]}))
+        argv += ["--input", str(path)]
+    t0 = time.perf_counter()
+    res = _run_subprocess(*argv)
+    assert time.perf_counter() - t0 < 5
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr.startswith("refused: ") and "Traceback" not in res.stderr
+
+
+def test_power_count_with_a_vanishing_factor_is_zero(capsys):
+    # more copies than gen_{2,2}(q) (16 for q = 2, about 10^30 for
+    # q = 10^6 + 3): a factor of the product vanishes, so the count is 0
+    # and no size refusal may come first
+    doc = run_json(capsys, "count", "--k", "2", "--n", "2", "--q", "2",
+                   "--m", "100000")
+    assert doc["value"] == "0"
+    doc = run_json(capsys, "count", "--k", "2", "--n", "2", "--q", "1000003",
+                   "--m", str(10 ** 40))
+    assert doc["value"] == "0"
 
 
 def test_construct_twogen_over_a_huge_prime_field(capsys):

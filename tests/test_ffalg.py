@@ -9,7 +9,6 @@ from conjugacy import are_conjugate_tuples, gl_elements
 from algen import ffalg
 from algen.errors import (
     BadParams,
-    DimensionMismatch,
     DivisionByZero,
     FactorizationIncomplete,
     NonPrime,
@@ -17,11 +16,8 @@ from algen.errors import (
 from algen.ffalg import (
     group_orders,
     make_field,
-    mat_identity,
-    mat_inv,
     mat_mul,
     multiplicative_generator,
-    span_dimension,
 )
 
 
@@ -208,15 +204,22 @@ def test_multiplicative_generator_large_quadratic_field():
     assert elapsed < 8
 
 
-def test_span_dimension():
-    f2 = make_field(2)
-    assert span_dimension(f2, []) == 0
-    f3 = make_field(3)
+def _echelon_dim(ctx, vectors, width):
+    ech = ffalg.FqEchelon(ctx, width)
+    for v in vectors:
+        ech.insert(v)
+    return ech.dim
+
+
+def test_fq_echelon_dimension():
+    f2, f3, f4 = make_field(2), make_field(3), make_field(2, 2)
+    assert _echelon_dim(f2, [], 3) == 0
     basis = [tuple(1 if i == j else 0 for j in range(4)) for i in range(4)]
-    assert span_dimension(f3, basis) == 4
-    assert span_dimension(f2, [(1, 1, 0), (1, 1, 0), (0, 1, 1)]) == 2
-    with pytest.raises(DimensionMismatch):
-        span_dimension(f2, [(1, 0), (1, 0, 0)])
+    assert _echelon_dim(f3, basis, 4) == 4
+    assert _echelon_dim(f2, [(1, 1, 0), (1, 1, 0), (0, 1, 1)], 3) == 2
+    # over F_4 (codes 2 = x, 3 = x + 1): (x, 1) = x (1, x + 1)
+    assert _echelon_dim(f4, [(1, 3), (2, 1)], 2) == 1
+    assert _echelon_dim(f4, [(1, 3), (2, 3)], 2) == 2
 
 
 def test_group_orders_examples():
@@ -351,16 +354,6 @@ def test_conjugate_tuples_galois():
     u1I = ((3, 0, 0, 3),)
     assert not are_conjugate_tuples(f4, uI, u1I, include_galois=False)
     assert are_conjugate_tuples(f4, uI, u1I, include_galois=True)
-
-
-def test_mat_inv_gl2_f4_and_gl3_f2():
-    for ctx, n in ((make_field(2, 2), 2), (make_field(2), 3)):
-        gl = gl_elements(ctx, n)
-        assert len(gl) == group_orders(n, ctx.q)[0]
-        for g in gl:
-            assert mat_mul(ctx, n, g, mat_inv(ctx, n, g)) == mat_identity(n)
-    with pytest.raises(DivisionByZero):
-        mat_inv(make_field(2, 2), 2, (1, 2, 1, 2))
 
 
 def test_prime_power_split_by_integer_roots():

@@ -5,7 +5,7 @@ import os
 import random
 
 import pytest
-from conjugacy import are_conjugate_tuples, gl_elements
+from conjugacy import are_conjugate_tuples, gl_elements, inverse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from seededpairs import m2z_pairs_with_closure_verdicts
@@ -21,7 +21,6 @@ from algen.genz import (
     factor_index,
     generates_Z,
     generates_Z_bool,
-    generates_Zn_module,
     hnf,
     m2f2_pair_orbits,
     zero_one_census,
@@ -57,17 +56,11 @@ def test_hnf_idempotent_and_membership():
         if lat.basis:
             assert hnf(lat.basis).basis == lat.basis
         # every input row lies in the lattice
-        ech = genz._ZEchelon(D)
-        for b in lat.basis:
-            ech.add(list(b))
         for r in rows:
-            assert ech.contains(r)
+            assert hnf(list(lat.basis) + [r], D) == lat
         # and every basis row is a Z-combination of the inputs
-        ech2 = genz._ZEchelon(D)
-        for r in rows:
-            ech2.add(list(r))
         for b in lat.basis:
-            assert ech2.contains(list(b))
+            assert hnf(rows + [b]) == lat
 
 
 def test_hnf_reduced_above_pivots():
@@ -113,6 +106,10 @@ def test_closure_across_blocks():
 def test_hnf_empty_rows():
     lat = hnf([], D=3)
     assert lat.rank == 0 and lat.index == 0
+    with pytest.raises(BadParams):
+        hnf([])  # no rows and no D
+    with pytest.raises(BadParams):
+        hnf([(1, 0), (1,)])  # ragged rows
 
 
 def _naive_closure(shape, t):
@@ -298,7 +295,7 @@ def test_conj_invariant_is_conjugation_invariant_mod_p():
             X = tuple(rng.randrange(p) for _ in range(4))
             Y = tuple(rng.randrange(p) for _ in range(4))
             g = gl[rng.randrange(len(gl))]
-            ginv = ffalg.mat_inv(ctx, 2, g)
+            ginv = inverse(ctx, 2, g)
             Xc = ffalg.mat_mul(ctx, 2, ffalg.mat_mul(ctx, 2, g, X), ginv)
             Yc = ffalg.mat_mul(ctx, 2, ffalg.mat_mul(ctx, 2, g, Y), ginv)
             a = tuple(v % p for v in conj_invariant(X, Y))
@@ -365,15 +362,6 @@ def _minor_gcd(rows, n: int) -> int:
     return math.gcd(*(_det(M) for M in itertools.combinations(rows, n)))
 
 
-def test_generates_Zn_module():
-    assert generates_Zn_module([(1, 0), (0, 1)])
-    assert not generates_Zn_module([(2,)])
-    assert generates_Zn_module([(1, 0), (1, 2), (0, 3)])
-    assert not generates_Zn_module([])
-    with pytest.raises(BadParams):
-        generates_Zn_module([(1, 0), (1,)])
-
-
 def test_hnf_index_matches_minor_gcd_seeded():
     rng = random.Random(31)
     for _ in range(400):
@@ -382,7 +370,6 @@ def test_hnf_index_matches_minor_gcd_seeded():
                 for _ in range(rng.randrange(1, n + 3))]
         index = _minor_gcd(rows, n)
         assert hnf(rows).index == index
-        assert generates_Zn_module(rows) == (index == 1)
 
 
 # ---------------------------------------------------------------------------

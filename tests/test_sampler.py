@@ -19,7 +19,6 @@ from algen.sampler import (
     DensityEstimate,
     SplitMix64,
     exhaustive_poly_density,
-    local_zero_count,
     mc_density,
     sample_tuple,
     substream,
@@ -169,28 +168,6 @@ def test_exhaustive_cap():
         exhaustive_poly_density([X1, X2], 10 ** 6)
 
 
-def test_local_zero_count():
-    for p in (2, 3, 5, 11):
-        assert local_zero_count([X1, X2], p) == 1
-    assert local_zero_count([{(2, 0): 1, (0, 2): 1}], 3) == 1
-    assert local_zero_count([{(2,): 1, (1,): -1}], 2) == 2
-    with pytest.raises(BadParams):
-        local_zero_count([X1, X2], 4)
-    with pytest.raises(BadParams):
-        local_zero_count([X1, X2], 5, n=3)
-
-
-def test_local_zero_count_brute_oracle(monkeypatch):
-    poly = {(2, 1): 3, (1, 0): 1, (0, 0): 2}
-    # a chunk of 2 points splits every row of the last axis
-    for chunk in (sampler._CHUNK, 2):
-        monkeypatch.setattr(sampler, "_CHUNK", chunk)
-        for p in (3, 7):
-            count = sum(1 for x in range(p) for y in range(p)
-                        if (3 * x * x * y + x + 2) % p == 0)
-            assert local_zero_count([poly], p) == count
-
-
 def test_poly_validation():
     with pytest.raises(BadParams):
         exhaustive_poly_density([{(1, 0): 1, (0, 1, 1): 1}], 2)
@@ -336,16 +313,4 @@ def test_exhaustive_long_row_in_chunks():
     finally:
         tracemalloc.stop()
     assert d == Fraction(2, 2 * N + 1)
-    assert peak < 64 * 2 ** 20, peak
-
-
-def test_local_zero_count_long_row_in_chunks():
-    p = 10 ** 7 + 19
-    tracemalloc.start()
-    try:
-        zeros = local_zero_count([{(2,): 1, (0,): -1}], p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert zeros == 2  # x = 1 and x = p - 1
     assert peak < 64 * 2 ** 20, peak
