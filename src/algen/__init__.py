@@ -9,4 +9,6 @@ error bounds, plus seeded Monte-Carlo experiments).
 
 __version__ = "0.1.0"
 
-from . import density, ffalg, genff, genz, polys, sampler  # noqa: F401
+# Dependency order: no module compiles while another's import is half
+# done, which keeps the memory peak of a fresh interpreter lower.
+from . import ffalg, genff, genz, polys, density, sampler  # noqa: F401

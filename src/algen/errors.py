@@ -34,10 +34,6 @@ class DivisionByZero(ValidationError):
     pass
 
 
-class DimensionMismatch(ValidationError):
-    pass
-
-
 class ShapeMismatch(ValidationError):
     pass
 
@@ -52,10 +48,6 @@ class DivergentTail(ValidationError):
 
 class DivisionInexact(AlgenError):
     """Exact polynomial division left a nonzero remainder."""
-
-
-class NotDivisible(AlgenError):
-    """A claimed polynomial divisibility failed; reported, never truncated."""
 
 
 class TooLarge(ResourceError):

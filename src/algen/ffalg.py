@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 from .errors import (
@@ -246,30 +247,14 @@ class FieldCtx:
     # -- arithmetic on codes ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.s == 1:
-            return (a + b) % p
-        out = 0
-        mult = 1
-        for _ in range(self.s):
-            out += (a % p + b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+            return (a + b) % self.p
+        return self.from_coeffs(map(operator.add, self.coeffs(a), self.coeffs(b)))
 
     def sub(self, a: int, b: int) -> int:
-        p = self.p
         if self.s == 1:
-            return (a - b) % p
-        out = 0
-        mult = 1
-        for _ in range(self.s):
-            out += (a % p - b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+            return (a - b) % self.p
+        return self.from_coeffs(map(operator.sub, self.coeffs(a), self.coeffs(b)))
 
     def mul(self, a: int, b: int) -> int:
         if self.s == 1:
@@ -459,15 +444,25 @@ class FqEchelon:
 # Group orders
 # ---------------------------------------------------------------------------
 
+def alpha(m: int, n: int, q: int) -> int:
+    """Number of m-tuples spanning F_q^n: prod_{i<n} (q^m - q^i); 1 if n=0."""
+    if m < 0 or n < 0:
+        raise BadParams("m, n must be >= 0")
+    out = 1
+    qm = q ** m
+    for i in range(n):
+        out *= qm - q ** i
+        if out == 0:
+            return 0
+    return out
+
+
 def group_orders(n: int, q: int) -> tuple[int, int]:
-    """(|GL_n(F_q)|, |PGL_n(F_q)|) = (prod(q^n - q^i), gl / (q - 1))."""
+    """(|GL_n(F_q)|, |PGL_n(F_q)|) = (alpha(n, n, q), gl / (q - 1))."""
     if n < 1:
         raise BadParams(f"n must be >= 1, got {n}")
     prime_power_split(q)
-    gl = 1
-    qn = q ** n
-    for i in range(n):
-        gl *= qn - q ** i
+    gl = alpha(n, n, q)
     assert gl % (q - 1) == 0
     return gl, gl // (q - 1)
 

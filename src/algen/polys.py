@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParams, DivisionInexact, NotDivisible
-from . import ffalg
+from .errors import BadParams, DivisionInexact
+from . import ffalg, genff
 
 IntPoly = tuple[int, ...]
 
@@ -169,12 +169,7 @@ def psi_poly(k: int) -> IntPoly:
     if k < 2:
         raise BadParams("psi_k needs k >= 2")
     num = poly_add(poly_pow_x(3 * k - 2), phi_poly(k))
-    div = _PSI_DIVISORS[k % 6]
-    q, r = poly_divmod(num, div)
-    if r:
-        raise NotDivisible(
-            f"x^(3k-2) + phi_k not divisible by the case divisor at k={k}")
-    return q
+    return poly_div_exact(num, _PSI_DIVISORS[k % 6])
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +190,16 @@ class MinGenReport:
 
 
 def _threshold(n: int, k: int) -> int:
-    fam = h_poly if n == 2 else f_poly
-    return poly_eval(fam(k), 2)
+    return genff.gen_count(k, n, 2)
 
 
 def min_generators(n: int, m: int) -> MinGenReport:
     """Smallest r with M_n(Z)^m generated by r elements (n in {2, 3}).
 
-    r is the least k >= 2 with m <= F_k(2), F = h for n = 2 and f for
-    n = 3.  The k = 2 threshold for n = 2 is h_2(2) = 16, which is
-    exactly the copy count realized by the explicit 16-copy witness.
+    r is the least k >= 2 with m <= gen_{k,n}(2), read from the closed
+    form; gen_{k,n}(2) is F_k(2), F = h for n = 2 and f for n = 3.  The
+    k = 2 threshold for n = 2 is h_2(2) = 16, which is exactly the copy
+    count realized by the explicit 16-copy witness.
     """
     if n not in (2, 3):
         raise BadParams("thresholds cover n in {2, 3}")

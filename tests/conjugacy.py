@@ -8,7 +8,7 @@ import itertools
 from functools import lru_cache
 
 from algen import ffalg
-from algen.errors import BadParams, DimensionMismatch
+from algen.errors import BadParams
 
 
 def galois_order(ctx, base_q: int) -> int:
@@ -64,7 +64,7 @@ def are_conjugate_tuples(ctx, t1, t2, include_galois=False,
     prime field.
     """
     if len(t1) != len(t2):
-        raise DimensionMismatch("tuples of different length")
+        raise BadParams("tuples of different length")
     if not t1:
         return True
     sz = len(t1[0])
@@ -72,7 +72,7 @@ def are_conjugate_tuples(ctx, t1, t2, include_galois=False,
     while n * n < sz:
         n += 1
     if n * n != sz or any(len(a) != sz for a in itertools.chain(t1, t2)):
-        raise DimensionMismatch("entries are not square matrices of equal size")
+        raise BadParams("entries are not square matrices of equal size")
 
     if base_q is None:
         base_q = ctx.p

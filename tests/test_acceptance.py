@@ -171,7 +171,7 @@ def test_criterion_10_polynomial_suite():
     ok = psi12 == expected
     coeffs_ok = True
     for k in range(2, 101):
-        psi = polys.psi_poly(k)  # raises NotDivisible on any failure
+        psi = polys.psi_poly(k)  # raises DivisionInexact on any failure
         if not set(psi) <= {-2, -1, 0, 1, 2}:
             coeffs_ok = False
     ident_ok = all(

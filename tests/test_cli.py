@@ -11,6 +11,7 @@ import pytest
 import algen
 from algen import genff
 from algen.cli import main
+from algen.polys import h_poly, poly_eval
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +42,18 @@ def test_count_values_are_decimal_strings(capsys):
 def test_thresholds(capsys):
     doc = run_json(capsys, "thresholds", "--n", "3", "--m", "769")
     assert doc["r"] == 3 and doc["lower"] == 768
+
+
+def test_thresholds_at_a_4300_digit_m(capsys):
+    # one closed-form product per k keeps the 3570 steps to r fast; the
+    # h_k polynomials are the oracle for the two bounds
+    m = 10 ** 4299
+    t0 = time.perf_counter()
+    doc = run_json(capsys, "thresholds", "--n", "2", "--m", str(m))
+    assert time.perf_counter() - t0 < 5
+    assert doc["r"] == 3571
+    assert int(doc["lower"]) == poly_eval(h_poly(3570), 2) < m
+    assert m <= int(doc["upper"]) == poly_eval(h_poly(3571), 2)
 
 
 def test_density_matrix(capsys):
@@ -357,6 +370,8 @@ _PAST_STR_LIMIT = {
                          "--m", "100000"],
     "count-closed-form": ["count", "--k", "3000", "--n", "3", "--q", "1000003"],
     "poly-eval": ["poly", "--family", "f", "--k", "3000", "--eval", "1000003"],
+    # r = 1588, but f_1588(2) has 4301 digits
+    "thresholds-upper": ["thresholds", "--n", "3", "--m", str(10 ** 4299)],
     "checkgen-index": ["checkgen"],
 }
 

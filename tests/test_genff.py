@@ -36,6 +36,7 @@ from algen.genff import (
     shape_over_field,
     two_generators_ext,
 )
+from algen.polys import f_poly, h_poly, poly_eval
 
 E12 = (0, 1, 0, 0)
 E21 = (0, 0, 1, 0)
@@ -451,11 +452,11 @@ def test_gen_count_values():
     assert gen_count(2, 2, 2) == 16
     assert gen_count(2, 3, 2) == 768
     assert gen_count(3, 2, 2) == 448
-    # cross-checked closed forms are asserted inside gen_count
-    for q in (2, 3, 4, 5):
+    # g / |PGL| against the h and f families, built as polynomials
+    for q in (2, 3, 4, 5, 7, 8, 9):
         for m in range(2, 6):
-            gen_count(m, 2, q)
-            gen_count(m, 3, q)
+            assert gen_count(m, 2, q) == poly_eval(h_poly(m), q), (m, q)
+            assert gen_count(m, 3, q) == poly_eval(f_poly(m), q), (m, q)
 
 
 def test_alpha():
