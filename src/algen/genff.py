@@ -247,13 +247,13 @@ def generates(shape: AlgebraShape, t) -> bool:
 def _decide(shape: AlgebraShape, vecs) -> bool:
     """Generation test for coordinate vectors over an F_q shape.
 
-    A single M_2(F_2) or M_3(F_2) block goes to the invariant-line test
-    of _f2_generates; every other shape is decided by a closure over its
-    prime field.
+    The vectors are recoded over the prime field; over F_2 they are
+    packed and go to _f2_decide, for odd p to the list closure.
     """
-    if shape.ctx.q == 2 and shape.blocks in (((2, 1, 1),), ((3, 1, 1),)):
-        return _f2_generates(shape.blocks[0][0], [_f2_encode(v) for v in vecs])
-    return _generates_generic(*_over_prime_field(shape, vecs))
+    shape, vecs = _over_prime_field(shape, vecs)
+    if shape.ctx.p == 2:
+        return _f2_decide(shape, [_f2_encode(v) for v in vecs])
+    return _generates_generic(shape, vecs)
 
 
 def _over_prime_field(shape: AlgebraShape, vecs):
@@ -276,13 +276,13 @@ def _over_prime_field(shape: AlgebraShape, vecs):
 
 def _generates_generic(shape: AlgebraShape, vecs) -> bool:
     """Closure over a prime field of the elements with coordinates vecs:
-    bit-packed over F_2, the list loop _closure over an FqEchelon for odd
-    p."""
+    packed ints (_f2_encode) through the table closure over F_2, lists
+    through the list loop _closure over an FqEchelon for odd p."""
     ctx = shape.ctx
-    D = shape.rank
     if ctx.p == 2:
-        return _f2_span_generates(D, _f2_one(shape),
-                                  [_f2_masks(shape, tuple(v)) for v in vecs])
+        D, one, op = _f2_operators(shape.blocks)
+        return _f2_span_generates(D, one, [op(v) for v in vecs])
+    D = shape.rank
     ech = FqEchelon(ctx, D)
     _closure(ech.insert, lambda: int(ech.dim == D), ctx.p,
              _scalar_coords(shape), [left_mul_ops(shape, v) for v in vecs])
@@ -294,9 +294,9 @@ def _generates_generic(shape: AlgebraShape, vecs) -> bool:
 # A coordinate vector over F_2 is one int, coordinate i at bit i.  Single
 # M_n(F_2) blocks with n in {2, 3} are decided by invariant-line masks
 # (_f2_generates) without a closure.  Every other shape over F_2 goes to
-# the one closure, _f2_span_generates: it applies each generator as D row
-# masks, bit j of g v being the parity of masks[j] & v, and keeps the
-# span as an XOR echelon keyed by the leading bit.
+# the one closure, _f2_span_generates: it applies each generator as nibble
+# tables, g v being the XOR of one table entry per 4 bits of v, and keeps
+# the span as an XOR echelon keyed by the leading bit.
 
 def _f2_encode(mat) -> int:
     code = 0
@@ -304,6 +304,13 @@ def _f2_encode(mat) -> int:
         if v:
             code |= 1 << i
     return code
+
+
+def _f2_decide(shape: AlgebraShape, codes) -> bool:
+    """Generation test for packed vectors over an F_2 shape."""
+    if shape.blocks in (((2, 1, 1),), ((3, 1, 1),)):
+        return _f2_generates(shape.blocks[0][0], codes)
+    return _generates_generic(shape, codes)
 
 
 @lru_cache(maxsize=4)
@@ -382,44 +389,65 @@ def _f2_generates(n: int, codes) -> bool:
     return False
 
 
-@lru_cache(maxsize=4096)
-def _f2_masks(shape: AlgebraShape, coords: tuple) -> tuple[int, ...]:
-    """v -> g v over F_2 as D row masks, g the element with the given
-    coordinates: mask j has bit t set for each source t of row j of
-    left_mul_ops with an odd coefficient, so bit j of g v is the parity
-    of masks[j] & v."""
-    return tuple(sum((c & 1) << t for t, c in row)
-                 for row in left_mul_ops(shape, coords))
+def _nibble_tables(cols) -> tuple[tuple[int, ...], ...]:
+    """The F_2-linear map that sends bit t to cols[t], as nibble tables:
+    table c holds the image of each u < 16 placed at bits 4c to 4c + 3
+    (u < 2^(D - 4c) in the last table, D = len(cols)), so the image of v
+    is the XOR of table c at (v >> 4c) & 15."""
+    out = []
+    for base in range(0, len(cols), 4):
+        tab = [0]
+        for col in cols[base:base + 4]:
+            tab += [x ^ col for x in tab]
+        out.append(tuple(tab))
+    return tuple(out)
 
 
-@lru_cache(maxsize=64)
-def _f2_one(shape: AlgebraShape) -> int:
-    """The identity of an F_2 shape as a packed vector."""
-    return _f2_encode(_scalar_coords(shape))
+@lru_cache(maxsize=16)
+def _f2_operators(blocks):
+    """The rank D of the F_2 shape with these blocks (a cheaper key than
+    the shape), its packed identity, and a map, caching the last 1024
+    codes, from the packed code of an element g to v -> g v as nibble
+    tables, built from the rows of the left_mul_ops operator of g mod 2.
+    """
+    shape = shape_over_field(make_field(2), blocks)
+    D = shape.rank
+
+    @lru_cache(maxsize=1024)
+    def tables(code: int) -> tuple[tuple[int, ...], ...]:
+        cols = [0] * D
+        rows = left_mul_ops(shape, [code >> i & 1 for i in range(D)])
+        for j, row in enumerate(rows):
+            for t, c in row:
+                cols[t] ^= (c & 1) << j
+        return _nibble_tables(cols)
+
+    return D, _f2_encode(_scalar_coords(shape)), tables
 
 
 def _f2_span_generates(D: int, seed: int, gens) -> bool:
-    """Closure over F_2 of seed under the operators gens (row masks as
-    from _f2_masks) on D-bit vectors: True iff the span reaches rank D.
-    Words are taken breadth-first; the span is an XOR echelon keyed by
-    the leading bit."""
+    """Closure over F_2 of seed under the operators gens (nibble tables
+    as from _f2_operators) on D-bit vectors: True iff the span reaches
+    rank D.  Words are taken breadth-first, from a worklist that grows
+    while it is read; the span is an XOR echelon keyed by the leading
+    bit."""
     if D == 1:
         return True
-    piv = [0] * D
-    piv[seed.bit_length() - 1] = seed
+    # piv[b]: the echelon row whose leading bit is bit b - 1
+    piv = [0] * (D + 1)
+    piv[seed.bit_length()] = seed
     rank = 1
-    bits = [1 << j for j in range(D)]
-    work = deque([seed])
-    while work:
-        v = work.popleft()
-        for masks in gens:
+    work = [seed]
+    for v in work:
+        for tables in gens:
             w = 0
-            for mk, bit in zip(masks, bits):
-                if (mk & v).bit_count() & 1:
-                    w |= bit
+            u = v
+            for tab in tables:
+                w ^= tab[u & 15]
+                u >>= 4
             x = w
             while x:
-                b = x.bit_length() - 1
+                b = x.bit_length()
                 r = piv[b]
                 if not r:
                     piv[b] = x
@@ -561,16 +589,32 @@ def _subspace_shard(args) -> tuple[int]:
     c0 = (n * n - 1) * s
     shape = shape_over_field(ctx, [(n, s, 1)])
     weights = [q ** k * alpha(k, j, q) for j in range(min(k, d) + 1)]
+    # over F_2 the basis is one int, d + 1 bits a row with the identity
+    # column c0 left zero, and bit i of x, the i-th free entry, is placed
+    # by nibble tables
+    at = [c + (c >= c0) for c in range(d)]
+    mask = (1 << (d + 1)) - 1
     total = start = 0
     for piv, free in _pivot_blocks(k, d):
         end = start + q ** len(free)
+        ones = sum(1 << r * (d + 1) + at[c] for r, c in enumerate(piv))
+        tabs = _nibble_tables([1 << r * (d + 1) + at[c] for r, c in free])
         for x in range(max(lo, start) - start, min(hi, end) - start):
-            rows = [[int(c == pc) for c in range(d)] for pc in piv]
-            for r, c in free:
-                x, rows[r][c] = divmod(x, q)
-            for row in rows:
-                row.insert(c0, 0)
-            if _decide(shape, rows):
+            if q == 2:
+                v = ones
+                for tab in tabs:
+                    v ^= tab[x & 15]
+                    x >>= 4
+                verdict = _f2_decide(shape, [v >> r * (d + 1) & mask
+                                             for r in range(len(piv))])
+            else:
+                rows = [[int(c == pc) for c in range(d)] for pc in piv]
+                for r, c in free:
+                    x, rows[r][c] = divmod(x, q)
+                for row in rows:
+                    row.insert(c0, 0)
+                verdict = _decide(shape, rows)
+            if verdict:
                 total += weights[len(piv)]
         start = end
         if start >= hi:
@@ -588,9 +632,21 @@ def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
     shape = shape_over_field(ctx, [(n, s, 1)])
     mats = [_element_coords(shape, (a,)) for a in
             itertools.product(range(ctx.q ** s), repeat=n * n)]
-    sizes = Counter(_orbit_key(shape, vecs)
-                    for vecs in itertools.product(mats, repeat=k)
-                    if _decide(shape, vecs))
+    # each matrix recoded over F_p, x 1 last when q > p, and its operator
+    # built once; over F_2 the table closure decides before the key is
+    # taken, for odd p the key's closure decides
+    prime, vecs = _over_prime_field(shape, mats)
+    ops = [left_mul_ops(prime, v) for v in vecs]
+    codes = [_f2_encode(v) for v in vecs] if ctx.p == 2 else None
+    sizes = Counter()
+    for tup in itertools.product(range(len(mats)), repeat=k):
+        tup += tuple(range(len(mats), len(vecs)))
+        if codes and not _f2_decide(prime, [codes[i] for i in tup]):
+            continue
+        try:
+            sizes[_orbit_key(prime, [ops[i] for i in tup])] += 1
+        except BadParams:
+            pass
     if m > len(sizes):
         return 0
     # e[j]: elementary symmetric sum of degree j of the orbit sizes so far
@@ -601,19 +657,20 @@ def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
     return math.factorial(m) * e[m]
 
 
-def _orbit_key(shape: AlgebraShape, vecs) -> tuple:
-    """A key of the generating tuple with coordinate vectors vecs in a
-    one-block F_q shape, equal for two tuples iff an automorphism of the
-    block as an F_q-algebra maps one to the other.
+def _orbit_key(shape: AlgebraShape, ops) -> tuple:
+    """A key of a generating tuple of a one-block F_q shape, equal for two
+    tuples iff an automorphism of the block as an F_q-algebra maps one to
+    the other.
 
-    The tuple is recoded over F_p (_over_prime_field, which adds x 1 as a
-    generator when q > p), and _closure takes its words breadth-first from
-    1, in generator order, until each basis word has been multiplied by
-    every generator: a word is kept as basis word b_j if it is independent
-    of those kept before.  The key lists, in that order, j for each kept
-    word and, for each other one, the tuple of its coordinates in the
-    basis, negated: the echelon rows carry their combinations of the b_j
-    as D tags.
+    The tuple comes recoded over F_p (_over_prime_field, which adds x 1 as
+    a generator when q > p): shape is the recoded shape and ops the
+    left_mul_ops operators of the generators.  _closure takes the words
+    breadth-first from 1, in generator order, until each basis word has
+    been multiplied by every generator: a word is kept as basis word b_j
+    if it is independent of those kept before.  The key lists, in that
+    order, j for each kept word and, for each other one, the tuple of its
+    coordinates in the basis, negated: the echelon rows carry their
+    combinations of the b_j as D tags.
 
     An F_q-automorphism, a conjugation composed with a Frobenius power over
     F_q, maps each word to the same word of the image tuple and so fixes
@@ -625,7 +682,6 @@ def _orbit_key(shape: AlgebraShape, vecs) -> tuple:
 
     Raises BadParams if the words of the tuple do not span the block.
     """
-    shape, vecs = _over_prime_field(shape, vecs)
     D = shape.rank
     ech = FqEchelon(shape.ctx, D)
     key = []
@@ -639,8 +695,7 @@ def _orbit_key(shape: AlgebraShape, vecs) -> tuple:
         r[D + ech.dim] = 1
         return ech.insert(r)
 
-    _closure(add, lambda: 0, shape.ctx.p, _scalar_coords(shape),
-             [left_mul_ops(shape, v) for v in vecs])
+    _closure(add, lambda: 0, shape.ctx.p, _scalar_coords(shape), ops)
     if ech.dim < D:
         raise BadParams("orbit keys are defined for generating tuples only")
     return tuple(key)
@@ -694,7 +749,9 @@ def count_gen_power_formula(k: int, n: int, q: int, s: int, m: int,
     """
     if m < 1:
         raise BadParams("m must be >= 1")
-    if s == 1 and n in (2, 3):
+    if k == 1 and n > 1:
+        g = 0  # one matrix generates a commutative algebra, not M_n
+    elif s == 1 and n in (2, 3):
         g = g_closed_form(k, n, q)
     else:
         try:

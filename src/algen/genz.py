@@ -347,8 +347,8 @@ def m2f2_pair_orbits() -> list[list[tuple[int, int]]]:
     orbits: dict = {}
     for a, b in genff.f2_generating_pairs(2):
         for pair in ((a, b), (b, a)):
-            vecs = [list(_code_to_zmat(2, c)) for c in pair]
-            key = genff._orbit_key(shape, vecs)
+            key = genff._orbit_key(shape, [
+                genff.left_mul_ops(shape, _code_to_zmat(2, c)) for c in pair])
             orbits.setdefault(key, []).append(pair)
     return sorted((sorted(orb, key=lambda ab: _entry_key(2, *ab))
                    for orb in orbits.values()),

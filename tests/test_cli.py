@@ -443,6 +443,20 @@ def test_count_brute_power_beyond_the_orbit_count(capsys):
     assert json.loads(res.stdout)["value"] == "0"
 
 
+def test_count_k1_formula_needs_no_sweep(capsys):
+    # one matrix generates a commutative algebra, so no single n x n
+    # matrix, n >= 2, generates: g = 0 without the 2^24-subspace sweep of
+    # M_5(F_2), which has no closed form; --verify checks the rule on a
+    # shape the brute count can reach
+    t0 = time.perf_counter()
+    doc = run_json(capsys, "count", "--k", "1", "--n", "5", "--q", "2", "--m", "2")
+    assert doc["value"] == "0"
+    assert time.perf_counter() - t0 < 5
+    doc = run_json(capsys, "count", "--k", "1", "--n", "2", "--q", "2", "--s",
+                   "2", "--m", "2", "--verify")
+    assert doc["brute"] == doc["formula"] == "0"
+
+
 def test_count_brute_power_needs_no_group_sweep(capsys):
     # orbit keys come from the tuples themselves, so |GL_1(F_10007)| =
     # 10006 no longer meets a cap: only the 10007 coordinate tuples do
@@ -529,7 +543,7 @@ def test_benchmark_tracer_sees_the_census_f2_screen():
 
 
 def test_benchmark_tracer_sees_the_mc_power_screen():
-    # the mod-2 screen of mc --m 2 decides each sample by the mask closure
+    # the mod-2 screen of mc --m 2 decides each sample by the table closure
     # of _generates_generic (genff.fq_closure), none by _f2_generates
     out, calls = _traced_calls("mc", "--n", "2", "--m", "2", "--k", "3",
                                "--N", "5", "--samples", "20")

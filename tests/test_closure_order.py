@@ -133,7 +133,7 @@ def test_fq_verdicts_independent_of_order(monkeypatch, q, blocks):
 
 
 def test_m2f2_squared_verdicts_independent_of_order(monkeypatch):
-    # generates sends M_2(F_2)^2 to the bit-packed mask closure, so only
+    # generates sends M_2(F_2)^2 to the bit-packed table closure, so only
     # the list closure reference runs genff._closure
     shape = shape_over_field(make_field(2), [(2, 1, 2)])
     rng = random.Random(22)

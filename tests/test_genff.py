@@ -88,7 +88,8 @@ def test_fast_path_agrees_with_generic():
     for _ in range(300):
         t = [tuple(tuple(rng.randrange(2) for _ in range(4)) for _ in range(1))
              for _ in range(2)]
-        assert generates(shape, t) == genff._generates_generic(shape, _coords(shape, t))
+        assert generates(shape, t) == genff._generates_generic(
+            shape, [genff._f2_encode(v) for v in _coords(shape, t)])
 
 
 # -- matrix-format oracles: products of matrices, not operators on coordinates
@@ -200,7 +201,7 @@ def test_closure_against_word_span_oracle_property(case):
 
 
 def test_closure_against_matrix_closure_oracle():
-    # (q, blocks): F_2 with n = 4 (the mask closure), F_3, F_4, F_8 and
+    # (q, blocks): F_2 with n = 4 (the table closure), F_3, F_4, F_8 and
     # F_9 as base fields (recoded over F_p with x 1), F_4, F_8 and F_9
     # over their prime fields, mixed blocks and power shapes
     cases = [(2, [(4, 1, 1)]), (3, [(2, 1, 1)]), (3, [(1, 1, 2), (2, 1, 1)]),
@@ -245,10 +246,10 @@ def _random_tuple(rng, shape, k):
 
 
 def _packed_generates(shape, t):
-    """The mask closure on t, even where generates would take the
+    """The table closure on t, even where generates would take the
     invariant-line test."""
-    return genff._generates_generic(
-        *genff._over_prime_field(shape, _coords(shape, t)))
+    shape, vecs = genff._over_prime_field(shape, _coords(shape, t))
+    return genff._generates_generic(shape, [genff._f2_encode(v) for v in vecs])
 
 
 def _assert_all_closures_agree(shape, t):
@@ -268,13 +269,13 @@ def test_packed_f2_closure_against_list_and_matrix_oracles(q, blocks):
     assert any(verdicts) and not all(verdicts)
 
 
-def test_f2_mask_cache_is_keyed_by_shape():
+def test_f2_operator_cache_is_keyed_by_shape():
     # M_2(F_2)^2 and M_2(F_4) over F_2 both have D = 8, so one coordinate
     # vector is an element of each, with different operators
     f2 = make_field(2)
     shapes = [shape_over_field(f2, [(2, 1, 2)]), shape_over_field(f2, [(2, 2, 1)])]
     rng = random.Random(41)
-    genff._f2_masks.cache_clear()
+    genff._f2_operators.cache_clear()
     verdicts = []
     for _ in range(60):
         vecs = [[rng.randrange(2) for _ in range(8)] for _ in range(2)]
@@ -283,6 +284,39 @@ def test_f2_mask_cache_is_keyed_by_shape():
             assert verdict == list_closure_generates(shape, vecs)
             verdicts.append(verdict)
     assert any(verdicts) and not all(verdicts)
+
+
+def _list_product(shape, code, v):
+    """g v mod 2 from the sparse left_mul_ops rows, g and v packed."""
+    rows = genff.left_mul_ops(shape, [code >> i & 1 for i in range(shape.rank)])
+    return sum((sum(c * (v >> t & 1) for t, c in row) & 1) << j
+               for j, row in enumerate(rows))
+
+
+# D = 1, 5, 9, 36 and the extension blocks M_2(F_4), M_2(F_8) (D = 12) and
+# M_3(F_4) over F_2, and M_2(F_4) recoded over F_2 with its x 1
+@pytest.mark.parametrize("q, blocks", [
+    (2, [(1, 1, 1)]), (2, [(1, 1, 1), (2, 1, 1)]), (2, [(3, 1, 1)]),
+    (2, [(3, 1, 4)]), (2, [(2, 2, 1)]), (2, [(2, 3, 1)]), (2, [(3, 2, 1)]),
+    (4, [(2, 1, 1)])])
+def test_nibble_tables_match_the_list_product(q, blocks):
+    shape = shape_over_field(make_field(*ffalg.prime_power_split(q)), blocks)
+    shape, extra = genff._over_prime_field(shape, [])
+    D, one, op = genff._f2_operators(shape.blocks)
+    assert D == shape.rank
+    assert one == genff._f2_encode(genff._scalar_coords(shape))
+    rng = random.Random(f"tables {q} {blocks}")
+    codes = [genff._f2_encode(v) for v in extra]
+    codes += [rng.getrandbits(D) for _ in range(20)]
+    for g in codes:
+        tables = op(g)
+        assert len(tables) == (D + 3) // 4
+        for _ in range(20):
+            v = rng.getrandbits(D)
+            w = 0
+            for c, tab in enumerate(tables):
+                w ^= tab[v >> 4 * c & 15]
+            assert w == _list_product(shape, g, v)
 
 
 def _rank(blocks):
@@ -315,8 +349,8 @@ def test_f2_closures_agree_property(case):
 #
 # generates decides single M_2(F_2) and M_3(F_2) blocks without a closure:
 # by the invariant-line and invariant-hyperplane masks of _f2_generates and
-# a commutation test.  The mask closure of _generates_generic uses none of
-# those tables, so it is the oracle here.
+# a commutation test.  The table closure of _generates_generic uses none
+# of those tables, so it is the oracle here.
 
 def _code_matrix(n, code):
     return tuple(code >> i & 1 for i in range(n * n))
@@ -324,14 +358,12 @@ def _code_matrix(n, code):
 
 @functools.lru_cache(maxsize=2)
 def _mask_closure(n):
-    """codes -> verdict of the mask closure of _generates_generic on the
-    M_n(F_2) tuple with those codes, each code's row masks built once."""
-    shape = shape_over_field(make_field(2), [(n, 1, 1)])
-    one = genff._f2_one(shape)
-    masks = [genff._f2_masks(shape, _code_matrix(n, c))
-             for c in range(1 << (n * n))]
+    """codes -> verdict of the table closure of _generates_generic on the
+    M_n(F_2) tuple with those codes, each code's tables built once."""
+    D, one, op = genff._f2_operators(((n, 1, 1),))
+    tables = [op(c) for c in range(1 << (n * n))]
     return lambda codes: genff._f2_span_generates(
-        n * n, one, [masks[c] for c in codes])
+        D, one, [tables[c] for c in codes])
 
 
 def test_invariant_line_tables_against_mask_closure_all_m3_pairs():
@@ -532,9 +564,10 @@ def test_generates_power():
 def _orbit_key(ctx, s, n, t):
     """genff._orbit_key of the tuple t of M_n(F_{q^s}) matrices, the
     block taken as an algebra over ctx = F_q."""
-    shape = shape_over_field(ctx, [(n, s, 1)])
-    return genff._orbit_key(shape, [genff._element_coords(shape, (a,))
-                                    for a in t])
+    block = shape_over_field(ctx, [(n, s, 1)])
+    shape, vecs = genff._over_prime_field(
+        block, [genff._element_coords(block, (a,)) for a in t])
+    return genff._orbit_key(shape, [genff.left_mul_ops(shape, v) for v in vecs])
 
 
 def _random_generating(rng, ctx, ext, n, k, entries=None):
@@ -898,16 +931,46 @@ def _subspace_shards(k, n, q, s, cuts):
 
 def test_subspace_shards_join_at_any_cut():
     # (k, n, q, s): the F_2 closure, the generic closure over F_3, sets of
-    # up to four entries of F_9 over F_3, and M_2(F_4) over F_2
+    # up to four entries of F_9 over F_3, M_2(F_4) and F_8 over F_2, and
+    # M_2(F_4) recoded over F_2
     rng = random.Random(5)
     for (k, n, q, s), want, rounds in (((3, 2, 2, 1), 2688, 3),
                                        ((2, 2, 3, 1), 3888, 3),
                                        ((4, 1, 3, 2), 6480, 3),
-                                       ((2, 2, 2, 2), 45120, 1)):
+                                       ((2, 2, 2, 2), 45120, 1),
+                                       ((3, 1, 2, 3), 8 ** 3 - 2 ** 3, 3),
+                                       ((2, 2, 4, 1), 46080, 3)):
         total = genff._subspace_total(k, s * n * n - 1, q)
         for _ in range(rounds):
             cuts = [0] + sorted(rng.randrange(total + 1) for _ in range(4)) + [total]
             assert sum(_subspace_shards(k, n, q, s, cuts)) == want
+
+
+@pytest.mark.parametrize("k, n, q, s", [(2, 2, 2, 1), (3, 2, 2, 1),
+                                        (2, 2, 2, 2), (2, 2, 4, 1)])
+def test_packed_sweep_against_list_closure(monkeypatch, k, n, q, s):
+    # every subspace reaches _f2_decide once, packed: over F_2 as the
+    # sweep's rows, over F_4 recoded by _decide with x 1 appended
+    seen = []
+    decide = genff._f2_decide
+
+    def record(shape, codes):
+        verdict = decide(shape, codes)
+        seen.append((shape, tuple(codes), verdict))
+        return verdict
+
+    monkeypatch.setattr(genff, "_f2_decide", record)
+    p, e = ffalg.prime_power_split(q)
+    total = genff._subspace_total(k, s * n * n - 1, q)
+    genff._subspace_shard((k, n, p, e, s, 0, total))
+    assert len(seen) == len({codes for _, codes, _ in seen}) == total
+    c0 = (n * n - 1) * s
+    for shape, codes, verdict in seen:
+        # the identity column of the swept complement stays zero
+        assert q > 2 or not any(c >> c0 & 1 for c in codes)
+        vecs = [[c >> i & 1 for i in range(shape.rank)] for c in codes]
+        assert verdict == list_closure_generates(shape, vecs)
+    assert {verdict for *_, verdict in seen} == {False, True}
 
 
 def test_subspace_shards_balanced(monkeypatch):

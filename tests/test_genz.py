@@ -516,8 +516,8 @@ def test_pair_class_representative_has_same_verdicts():
 
     def verdicts(a, b):
         t = [(genz._code_to_zmat(3, a),), (genz._code_to_zmat(3, b),)]
-        return (genff._generates_generic(
-                    fshape, [genff._element_coords(fshape, e) for e in t]),
+        return (genff._generates_generic(fshape, [
+                    genff._f2_encode(genff._element_coords(fshape, e)) for e in t]),
                 generates_Z(SHAPE3, t).generates)
 
     seen = set()
