@@ -354,6 +354,7 @@ def _log_series_sum(coeffs: list[float], primes) -> float:
 
 def _power_sum_bound(Q: int, s: int) -> Fraction:
     """sum_{n >= Q} n^-s <= Q^-s + int_Q^inf t^-s dt, for s > 1."""
+    s = min(s, _ZERO_LOG2)  # Q >= 2: the sum grows as s falls
     return Fraction(1, Q ** s) + Fraction(1, (s - 1) * Q ** (s - 1))
 
 

@@ -425,17 +425,20 @@ def _f2_operators(blocks):
     return D, _f2_encode(_scalar_coords(shape)), tables
 
 
-def _f2_span_generates(D: int, seed: int, gens) -> bool:
+def _f2_span_generates(D: int, seed: int, gens, key=None) -> bool:
     """Closure over F_2 of seed under the operators gens (nibble tables
     as from _f2_operators) on D-bit vectors: True iff the span reaches
     rank D.  Words are taken breadth-first, from a worklist that grows
     while it is read; the span is an XOR echelon keyed by the leading
-    bit."""
-    if D == 1:
-        return True
+    bit.  With a list as key, each row carries its combination of the
+    kept words in D tag bits below its vector, the loop runs until every
+    kept word has met every generator, and each product is logged to key
+    for _orbit_key: -1 - j if it is kept as word j, else its combination.
+    """
+    tag = 0 if key is None else D
     # piv[b]: the echelon row whose leading bit is bit b - 1
-    piv = [0] * (D + 1)
-    piv[seed.bit_length()] = seed
+    piv = [0] * (D + tag + 1)
+    piv[seed.bit_length() + tag] = seed << tag | (tag and 1)
     rank = 1
     work = [seed]
     for v in work:
@@ -445,19 +448,28 @@ def _f2_span_generates(D: int, seed: int, gens) -> bool:
             for tab in tables:
                 w ^= tab[u & 15]
                 u >>= 4
-            x = w
+            x = w << tag if tag else w
             while x:
                 b = x.bit_length()
                 r = piv[b]
                 if not r:
+                    if tag:
+                        if b <= tag:  # only tags left: w is in the span
+                            key.append(x)
+                            break
+                        key.append(-1 - rank)
+                        x |= 1 << rank
                     piv[b] = x
                     rank += 1
-                    if rank == D:
+                    if rank == D and key is None:
                         return True
                     work.append(w)
                     break
                 x ^= r
-    return False
+            else:
+                if tag:
+                    key.append(0)
+    return rank == D
 
 
 @lru_cache(maxsize=4)
@@ -633,16 +645,16 @@ def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
     mats = [_element_coords(shape, (a,)) for a in
             itertools.product(range(ctx.q ** s), repeat=n * n)]
     # each matrix recoded over F_p, x 1 last when q > p, and its operator
-    # built once; over F_2 the table closure decides before the key is
-    # taken, for odd p the key's closure decides
+    # built once; the key's closure decides
     prime, vecs = _over_prime_field(shape, mats)
-    ops = [left_mul_ops(prime, v) for v in vecs]
-    codes = [_f2_encode(v) for v in vecs] if ctx.p == 2 else None
+    if ctx.p == 2:
+        op = _f2_operators(prime.blocks)[2]
+        ops = [op(_f2_encode(v)) for v in vecs]
+    else:
+        ops = [left_mul_ops(prime, v) for v in vecs]
     sizes = Counter()
     for tup in itertools.product(range(len(mats)), repeat=k):
         tup += tuple(range(len(mats), len(vecs)))
-        if codes and not _f2_decide(prime, [codes[i] for i in tup]):
-            continue
         try:
             sizes[_orbit_key(prime, [ops[i] for i in tup])] += 1
         except BadParams:
@@ -657,20 +669,20 @@ def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
     return math.factorial(m) * e[m]
 
 
-def _orbit_key(shape: AlgebraShape, ops) -> tuple:
+def _orbit_key(shape: AlgebraShape, gens) -> tuple:
     """A key of a generating tuple of a one-block F_q shape, equal for two
     tuples iff an automorphism of the block as an F_q-algebra maps one to
     the other.
 
     The tuple comes recoded over F_p (_over_prime_field, which adds x 1 as
-    a generator when q > p): shape is the recoded shape and ops the
-    left_mul_ops operators of the generators.  _closure takes the words
-    breadth-first from 1, in generator order, until each basis word has
-    been multiplied by every generator: a word is kept as basis word b_j
-    if it is independent of those kept before.  The key lists, in that
-    order, j for each kept word and, for each other one, the tuple of its
-    coordinates in the basis, negated: the echelon rows carry their
-    combinations of the b_j as D tags.
+    a generator when q > p): shape is the recoded shape and gens the
+    operators of the generators, nibble tables from _f2_operators over
+    F_2, left_mul_ops rows for odd p.  _f2_span_generates over F_2 and
+    _closure for odd p take the words breadth-first from 1, in generator
+    order, until each basis word has met every generator: a word is kept
+    as basis word b_j if it is independent of those kept before.  The key
+    lists, in that order, an entry for each kept word and the coordinates
+    of every other one in the basis, carried by the echelon rows as tags.
 
     An F_q-automorphism, a conjugation composed with a Frobenius power over
     F_q, maps each word to the same word of the image tuple and so fixes
@@ -683,20 +695,24 @@ def _orbit_key(shape: AlgebraShape, ops) -> tuple:
     Raises BadParams if the words of the tuple do not span the block.
     """
     D = shape.rank
-    ech = FqEchelon(shape.ctx, D)
     key = []
+    if shape.ctx.p == 2:
+        full = _f2_span_generates(D, _f2_operators(shape.blocks)[1], gens, key)
+    else:
+        ech = FqEchelon(shape.ctx, D)
 
-    def add(w):
-        r = ech.reduce(w + [0] * D)
-        if not any(r[:D]):
-            key.append(tuple(r[D:]))
-            return False
-        key.append(ech.dim)
-        r[D + ech.dim] = 1
-        return ech.insert(r)
+        def add(w):
+            r = ech.reduce(w + [0] * D)
+            if not any(r[:D]):
+                key.append(tuple(r[D:]))
+                return False
+            key.append(ech.dim)
+            r[D + ech.dim] = 1
+            return ech.insert(r)
 
-    _closure(add, lambda: 0, shape.ctx.p, _scalar_coords(shape), ops)
-    if ech.dim < D:
+        _closure(add, lambda: 0, shape.ctx.p, _scalar_coords(shape), gens)
+        full = ech.dim == D
+    if not full:
         raise BadParams("orbit keys are defined for generating tuples only")
     return tuple(key)
 
@@ -754,10 +770,7 @@ def count_gen_power_formula(k: int, n: int, q: int, s: int, m: int,
     elif s == 1 and n in (2, 3):
         g = g_closed_form(k, n, q)
     else:
-        try:
-            g = brute_count(k, n, q, s=s, m=1)
-        except TooLarge as exc:
-            raise UnsupportedSize(f"no source for g: {exc}") from exc
+        g = brute_count(k, n, q, s=s, m=1)
     _gl, pgl = ffalg.group_orders(n, q ** s)
     t = s * pgl
     # the automorphisms, t of them, act freely on generating tuples, so t

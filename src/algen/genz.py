@@ -344,11 +344,11 @@ def m2f2_pair_orbits() -> list[list[tuple[int, int]]]:
     """Orbits of the 96 generating pairs of M_2(F_2) under simultaneous
     conjugation, each orbit sorted by row-major encoding."""
     shape = genff.shape_over_field(ffalg.make_field(2), [(2, 1, 1)])
+    op = genff._f2_operators(shape.blocks)[2]
     orbits: dict = {}
     for a, b in genff.f2_generating_pairs(2):
         for pair in ((a, b), (b, a)):
-            key = genff._orbit_key(shape, [
-                genff.left_mul_ops(shape, _code_to_zmat(2, c)) for c in pair])
+            key = genff._orbit_key(shape, [op(c) for c in pair])
             orbits.setdefault(key, []).append(pair)
     return sorted((sorted(orb, key=lambda ab: _entry_key(2, *ab))
                    for orb in orbits.values()),

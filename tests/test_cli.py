@@ -196,6 +196,13 @@ def test_exit_codes(capsys):
     assert code == 2  # not a prime power
     code, _ = run_cli(capsys, "count", "--k", "4", "--n", "3", "--q", "3", "--brute")
     assert code == 3  # enumeration cap
+    # without a closed form the formula takes g from a brute count, which
+    # meets the same cap; m = 1 over a prime field has no such fallback
+    for argv, want in ((("--n", "2", "--q", "4", "--s", "2"), 3),
+                       (("--n", "4", "--q", "2", "--m", "2"), 3),
+                       (("--n", "4", "--q", "2"), 2)):
+        code, out = run_cli(capsys, "count", "--k", "2", *argv)
+        assert code == want and out == "", argv
     code, _ = run_cli(capsys, "exhaustive", "--polys", "not json", "--N", "2")
     assert code == 2
     with pytest.raises(SystemExit) as exc:
@@ -427,6 +434,22 @@ def test_count_brute_power_from_orbit_sizes():
     for i in range(16):
         prod *= 96 - 6 * i
     assert json.loads(res.stdout)["value"] == str(prod)
+
+
+def test_count_brute_power_at_the_paper_scale(capsys):
+    # |Gen_2(M_3(F_2)^2)| = 129024 (129024 - 168): every pair of M_3(F_2)
+    # decided and keyed by its orbit against the closed form
+    doc = run_json(capsys, "count", "--k", "2", "--n", "3", "--q", "2",
+                   "--m", "2", "--verify")
+    assert doc["brute"] == doc["formula"] == "16625516544" == str(129024 * 128856)
+
+
+def test_count_brute_power_over_f2_itself(capsys):
+    # D = 1: each of the 4 pairs of F_2 generates it and is its own orbit,
+    # so 3 copies take 3! e_3(1, 1, 1, 1) = 24 triples
+    doc = run_json(capsys, "count", "--k", "2", "--n", "1", "--q", "2",
+                   "--m", "3", "--verify")
+    assert doc["brute"] == doc["formula"] == "24"
 
 
 def test_count_brute_power_beyond_the_orbit_count(capsys):

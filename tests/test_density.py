@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -244,6 +245,15 @@ def test_den_matrix3_large_k_visits_few_primes(monkeypatch):
         seen.clear()
         density._den_matrix3(k, 10 ** 4, 1e-10)
         assert seen == [kept], k
+
+
+def test_den_matrix3_huge_k_is_prompt():
+    # the error bound's power sums are taken at exponent min(e, 1100), so
+    # no million-bit Fraction is built
+    t0 = time.perf_counter()
+    d = den_matrix(3, 10 ** 6)
+    assert (d.value, d.abs_error_bound) == (1.0, 1e-15)
+    assert time.perf_counter() - t0 < 5
 
 
 def test_sieve():

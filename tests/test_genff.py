@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from listclosure import list_closure_generates
 
-from algen import ffalg, genff
+from algen import ffalg, genff, genz
 from algen.errors import BadParams, ShapeMismatch, TooLarge, UnsupportedSize
 from algen.ffalg import make_field, mat_mul
 from algen.genff import (
@@ -52,10 +52,13 @@ def test_generates_examples():
     assert generates(shape, [(E12,), (E21,)])
     assert not generates(shape, [((1, 0, 0, 0),), ((0, 0, 0, 1),)])  # diagonal
     assert not generates(shape, [((1, 0, 0, 1),)])  # scalars only, D > 1
-    # over a 1-dimensional algebra scalars do generate (unital convention)
-    p1 = shape_over_field(make_field(3), [(1, 1, 1)])
-    assert generates(p1, [])
-    assert generates(p1, [((2,),)])
+    # over a 1-dimensional algebra scalars do generate (unital convention),
+    # over F_2 through the packed closure with D = 1
+    for q in (2, 3):
+        p1 = shape_over_field(make_field(q), [(1, 1, 1)])
+        assert generates(p1, [])
+        assert generates(p1, [((q - 1,),)])
+        assert generates(p1, [((0,),), ((1,),)])
 
 
 def test_generates_refuses_entries_outside_the_field():
@@ -563,10 +566,14 @@ def test_generates_power():
 
 def _orbit_key(ctx, s, n, t):
     """genff._orbit_key of the tuple t of M_n(F_{q^s}) matrices, the
-    block taken as an algebra over ctx = F_q."""
+    block taken as an algebra over ctx = F_q, with the operators it takes:
+    nibble tables over F_2, left_mul_ops rows for odd p."""
     block = shape_over_field(ctx, [(n, s, 1)])
     shape, vecs = genff._over_prime_field(
         block, [genff._element_coords(block, (a,)) for a in t])
+    if ctx.p == 2:
+        op = genff._f2_operators(shape.blocks)[2]
+        return genff._orbit_key(shape, [op(genff._f2_encode(v)) for v in vecs])
     return genff._orbit_key(shape, [genff.left_mul_ops(shape, v) for v in vecs])
 
 
@@ -637,6 +644,18 @@ def test_orbit_key_refuses_non_generating_tuples():
     f2 = make_field(2)
     with pytest.raises(BadParams):
         _orbit_key(f2, 1, 2, (E12, E12))
+
+
+def test_f2_keys_never_reach_the_list_loop(monkeypatch):
+    # over F_2 the packed closure decides and keys; _closure serves odd p
+    # and Z only
+    def refuse(*args):
+        raise AssertionError("F_2 work reached the list loop")
+
+    monkeypatch.setattr(genff, "_closure", refuse)
+    assert brute_count(2, 2, 2, m=2) == 8640
+    orbits = genz.m2f2_pair_orbits()
+    assert len(orbits) == 16 and {len(orb) for orb in orbits} == {6}
 
 
 # (q, samples): M_2(F_q) as an algebra over F_q itself, q = p^2
