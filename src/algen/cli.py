@@ -34,6 +34,23 @@ def _enc_str(v: int) -> str:
     return str(v)
 
 
+def _refuse_long_value(poly, x: int) -> None:
+    """_enc_str's refusal of poly(x), raised before evaluating it when a
+    lower bound proves the value too long.  For poly of degree D with
+    (|x| - 1) |c_D| > 2 max_{i<D} |c_i|, the tail sums to less than
+    |c_D| |x|^D / 2, so |poly(x)| > |c_D| |x|^D / 2, which is at least
+    2^(bits(c_D) - 2 + D (bits(x) - 1))."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or not poly:
+        return
+    *low, top = map(abs, poly)
+    if (abs(x) - 1) * top <= 2 * max(low, default=0):
+        return
+    bits = top.bit_length() - 2 + len(low) * (abs(x).bit_length() - 1)
+    if bits >= (10 ** limit).bit_length():
+        raise TooLarge(f"a result has more than {limit} decimal digits")
+
+
 def _enc_int(v: int):
     return v if -_BIG < v < _BIG else _enc_str(v)
 
@@ -292,6 +309,7 @@ def _cmd_poly(args, config: dict) -> int:
     payload = {"coeffs": [_enc_int(c) for c in poly],
                "degree": polys.poly_degree(poly)}
     if args.eval is not None:
+        _refuse_long_value(poly, args.eval)
         payload["value"] = _enc_int(polys.poly_eval(poly, args.eval))
     if args.mod_p is not None:
         payload["verdict_mod_p"] = polys.is_irreducible_mod_p(poly, args.mod_p)

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import countOf, not_
 
 from . import genff, genz
 from .errors import BadParams, TooLarge
 from .ffalg import make_field, prime_factors
 from .genff import AlgebraShape, enum_cap
 from .parutil import sharded_sum
+from .polys import IntPoly, poly_eval, poly_trim
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -189,37 +192,9 @@ def _normalize_system(polys):
     return system, nvars
 
 
-def _value_bound(terms, N: int) -> int:
-    return sum(abs(c) * max(N, 1) ** sum(exps) for exps, c in terms)
-
-
-def _eval_last_axis(terms, fixed, xs):
-    """Evaluate at (fixed..., xs) with numpy Horner over the last variable."""
-    import numpy as np
-
-    by_deg: dict[int, int] = {}
-    for exps, c in terms:
-        scalar = c
-        for v, e in zip(fixed, exps[:-1]):
-            if e:
-                scalar *= v ** e
-        d = exps[-1]
-        by_deg[d] = by_deg.get(d, 0) + scalar
-    if not by_deg:
-        return np.zeros_like(xs)
-    maxd = max(by_deg)
-    acc = np.full_like(xs, by_deg[maxd])
-    for d in range(maxd - 1, -1, -1):
-        acc = acc * xs + by_deg.get(d, 0)
-    return acc
-
-
 # Rows whose row constant is below this bound are counted through its
 # primes: factoring it by trial division then takes at most 512 steps.
 _PRIME_ROUTE_BOUND = 1 << 20
-# Points of the last axis evaluated at once, so that a long row never needs
-# one array of its full length.
-_CHUNK = 1 << 16
 
 
 def _eval_int(terms, point) -> int:
@@ -233,6 +208,84 @@ def _eval_int(terms, point) -> int:
     return v
 
 
+def _in_last(terms, fixed) -> IntPoly:
+    """The polynomial in the last variable, low degree first, that terms
+    become with every other variable fixed."""
+    cs = [0] * (1 + max(e[-1] for e, _ in terms))
+    for exps, c in terms:
+        cs[exps[-1]] += _eval_int(((exps, c),), fixed)
+    return poly_trim(cs)
+
+
+def _values(f: IntPoly, y0: int):
+    """f(y0), f(y0 + 1), ... without end, for f of degree D >= 1: D nested
+    running sums of its constant D-th difference."""
+    D = len(f) - 1
+    diffs = [poly_eval(f, y0 + i) for i in range(D + 1)]
+    for k in range(1, D + 1):
+        for i in range(D, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    it = itertools.repeat(diffs[D])
+    for d in reversed(diffs[:D]):
+        it = itertools.accumulate(it, initial=d)
+    return it
+
+
+def _roots_mod(f: IntPoly, p: int, N: int) -> set[int]:
+    """The offsets i < min(p, 2N+1) where p divides f(i - N)."""
+    n = min(p, 2 * N + 1)
+    if len(f) == 2 and f[1] % p:
+        return set(range((N - f[0] * pow(f[1], -1, p)) % p, n, p))
+    zero = map(not_, map(p.__rmod__, _values(f, -N)))
+    return set(itertools.compress(range(n), zero))
+
+
+def _row_count(c: int, rest, N: int, roots: dict[int, set[int]]) -> int:
+    """Points y of [-N, N] where c and the values f(y) of the polynomials
+    rest have gcd 1.  roots[p] caches the offsets i < min(p, 2N+1) at
+    which p divides every value; the caller keeps it only while rest
+    stays the same.  Once p does not divide every coefficient, some f is
+    nonzero mod p and leaves at most deg f offsets there."""
+    L = 2 * N + 1
+    c = math.gcd(c, *(f[0] for f in rest if len(f) == 1))
+    rest = [f for f in rest if len(f) > 1]
+    if c == 1:
+        return L
+    if not rest:
+        return 0
+    if c == 0 and len(rest) == 1:
+        # |f(y)| >= |c_D| |y| - S for |y| >= 1, S the sum of the other
+        # |c_i|, so f(y) = +-1 only for |y| <= (S + 1) / |c_D|
+        f = rest[0]
+        w = min(N, (sum(map(abs, f[:-1])) + 1) // abs(f[-1]))
+        values = map(abs, _values(f, -w))
+        return countOf(itertools.islice(values, 2 * w + 1), 1)
+    if 0 < c < _PRIME_ROUTE_BOUND:
+        primes = prime_factors(c)
+        for p in primes:
+            if all(a % p == 0 for f in rest for a in f):
+                return 0
+            if p not in roots:
+                roots[p] = set.intersection(*(_roots_mod(f, p, N)
+                                              for f in rest))
+            if len(roots[p]) == min(p, L):
+                return 0
+        # inclusion-exclusion over the squarefree d | c: d divides every
+        # value at the offsets whose residue mod d lies in CRT of the
+        # roots; more residues than points go to the gcd at every point
+        if math.prod(len(roots[p]) + 1 for p in primes) <= L:
+            terms = [(1, 1, [0])]
+            for p in (p for p in primes if roots[p]):
+                for d, mu, rs in list(terms):
+                    e = d * pow(d, -1, p)  # 0 mod d, 1 mod p
+                    terms.append((d * p, -mu, [(r + (s - r) * e) % (d * p)
+                                               for r in rs for s in roots[p]]))
+            return sum(mu * ((L - 1 - r) // d + 1)
+                       for d, mu, rs in terms for r in rs)
+    gcds = map(math.gcd, itertools.repeat(c), *(_values(f, -N) for f in rest))
+    return countOf(itertools.islice(gcds, L), 1)
+
+
 def exhaustive_poly_density(polys, N: int) -> Fraction:
     """Exact fraction of points x in [-N, N]^n where the values
     f_1(x), ..., f_s(x) generate the unit ideal of Z, i.e. their gcd is 1.
@@ -243,10 +296,11 @@ def exhaustive_poly_density(polys, N: int) -> Fraction:
     the last variable take integer values; their gcd c is the row
     constant.  A row with c = 1 counts whole.  For 0 < c < 2^20 the good
     points of the row are counted by inclusion-exclusion over the
-    squarefree divisors d of c, each term the number of points where d
-    divides every other value.  Other rows take the gcd of every value.
-    The values of the other polynomials are int64 arrays, or object
-    arrays of Python ints when one of them could reach 2^62.
+    squarefree divisors d of c, through the roots mod each prime p | c of
+    the other polynomials and CRT.  With c = 0 and one other polynomial
+    only a window where it can be +-1 is scanned; other rows take the gcd
+    of every value.  Rows are grouped by c when the other polynomials do
+    not depend on the row.  Everything is Python integers.
     """
     if N < 0:
         raise BadParams(f"half-width must be >= 0, got {N}")
@@ -255,51 +309,21 @@ def exhaustive_poly_density(polys, N: int) -> Fraction:
     total = (2 * N + 1) ** nvars
     if total > cap:
         raise TooLarge(f"{total} grid points exceed enumeration cap {cap}")
-    import numpy as np
-
     free = [t for t in system if all(e[-1] == 0 for e, _ in t)]
     rest = [t for t in system if any(e[-1] for e, _ in t)]
-    dtype = (object if any(_value_bound(t, N) >= 2 ** 62 for t in rest)
-             else np.int64)
-    # the rest's values, and so the count for each d, are the same on
-    # every row when no rest polynomial involves the fixed variables
-    static = all(not any(e[:-1]) for t in rest for e, _ in t)
-    count = 0
-    for lo in range(-N, N + 1, _CHUNK):
-        xs = np.arange(lo, min(lo + _CHUNK, N + 1), dtype=dtype)
-        vals = None
-        memo: dict[int, int] = {}
-        for fixed in itertools.product(range(-N, N + 1), repeat=nvars - 1):
-            c = 0
-            for terms in free:
-                c = math.gcd(c, _eval_int(terms, fixed))
-            if c == 1:
-                count += len(xs)
-                continue
-            if not rest:
-                continue
-            if vals is None or not static:
-                vals = [_eval_last_axis(t, fixed, xs) for t in rest]
-            if c == 0 or c >= _PRIME_ROUTE_BOUND:
-                g = np.abs(vals[0])
-                for v in vals[1:]:
-                    g = np.gcd(g, np.abs(v))
-                if c:
-                    g = np.gcd(g.astype(object) if c >= 2 ** 62 else g, c)
-                count += int(np.count_nonzero(g == 1))
-                continue
-            divisors = [(1, 1)]
-            for p in prime_factors(c):
-                divisors += [(d * p, -mu) for d, mu in divisors]
-            count += len(xs)
-            for d, mu in divisors[1:]:
-                n = memo.get(d)
-                if n is None:
-                    hit = vals[0] % d == 0
-                    for v in vals[1:]:
-                        hit &= v % d == 0
-                    n = int(np.count_nonzero(hit))
-                    if static:
-                        memo[d] = n
-                count += mu * n
+
+    def row_constant(fixed):
+        return math.gcd(*(_eval_int(t, fixed) for t in free))
+
+    rows = itertools.product(range(-N, N + 1), repeat=nvars - 1)
+    if all(not any(e[:-1]) for t in rest for e, _ in t):
+        # the rest, and so a row's count given c, are the same on every row
+        rest = [_in_last(t, ()) for t in rest]
+        roots: dict[int, set[int]] = {}
+        count = sum(n * _row_count(c, rest, N, roots)
+                    for c, n in Counter(map(row_constant, rows)).items())
+    else:
+        count = sum(_row_count(row_constant(fixed),
+                               [_in_last(t, fixed) for t in rest], N, {})
+                    for fixed in rows)
     return Fraction(count, total)

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -9,9 +10,10 @@ import time
 import pytest
 
 import algen
-from algen import genff
+from algen import cli, genff
 from algen.cli import main
-from algen.polys import h_poly, poly_eval
+from algen.errors import TooLarge
+from algen.polys import f_poly, h_poly, poly_eval
 
 
 def run_cli(capsys, *argv):
@@ -402,6 +404,33 @@ def test_results_past_the_int_str_limit_exit_3(case, tmp_path):
     assert res.stderr.startswith("refused: ") and "Traceback" not in res.stderr
 
 
+def test_poly_eval_refused_before_the_work(capsys):
+    # f_20000(10^6 + 3) has about 10^6 digits: building it took 24 s
+    t0 = time.perf_counter()
+    res = _run_subprocess("poly", "--family", "f", "--k", "20000",
+                          "--eval", "1000003")
+    assert time.perf_counter() - t0 < 2
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr == "refused: a result has more than 4300 decimal digits\n"
+    # f_80(10^6 + 3) has 4270 digits, just under the limit: it prints
+    doc = run_json(capsys, "poly", "--family", "f", "--k", "80",
+                   "--eval", "1000003")
+    assert doc["value"] == str(poly_eval(f_poly(80), 1000003))
+    assert len(doc["value"]) > 4250
+    # the early refusal only ever refuses values past the limit
+    limit = sys.get_int_max_str_digits()
+    refused = 0
+    for fam, x, k in itertools.product((f_poly, h_poly), (-1000003, 2, 3, 97),
+                                       range(2, 140, 3)):
+        poly = fam(k)
+        try:
+            cli._refuse_long_value(poly, x)
+        except TooLarge:
+            refused += 1
+            assert abs(poly_eval(poly, x)) >= 10 ** limit, (fam, x, k)
+    assert refused > 10
+
+
 def test_power_count_with_a_vanishing_factor_is_zero(capsys):
     # more copies than gen_{2,2}(q) (16 for q = 2, about 10^30 for
     # q = 10^6 + 3): a factor of the product vanishes, so the count is 0
@@ -489,21 +518,30 @@ def test_count_brute_power_needs_no_group_sweep(capsys):
     assert brute["value"] == run_json(capsys, *base, "--formula")["value"]
 
 
-def test_numpy_is_imported_only_by_the_grid_commands():
+def test_commands_run_with_numpy_blocked():
+    # algen has no runtime dependency: with every import of numpy refused,
+    # the sampling, grid and density commands still succeed
     src = os.path.dirname(os.path.dirname(algen.__file__))
     code = (
-        "import sys, algen.cli\n"
-        "assert 'numpy' not in sys.modules\n"
-        "algen.cli.main(['mc', '--n', '2', '--k', '2', '--N', '5',"
-        " '--samples', '20'])\n"
-        "assert 'numpy' not in sys.modules\n"
-        "algen.cli.main(['exhaustive', '--polys', '[{\"1,0\": 1}]',"
-        " '--N', '2'])\n"
-        "assert 'numpy' in sys.modules\n")
+        "import sys\n"
+        "class Block:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'numpy':\n"
+        "            raise ImportError('numpy is blocked')\n"
+        "sys.meta_path.insert(0, Block())\n"
+        "import algen.cli\n"
+        "for argv in (['mc', '--n', '2', '--k', '2', '--N', '5',"
+        " '--samples', '20'],\n"
+        "             ['exhaustive', '--polys', '[{\"1,0\": 1}, {\"0,1\": 1}]',"
+        " '--N', '20'],\n"
+        "             ['density', '--kind', 'matrix', '--n', '2', '--k', '2']):\n"
+        "    assert algen.cli.main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules\n")
     res = subprocess.run([sys.executable, "-c", code],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=20)
     assert res.returncode == 0, res.stderr
+    assert res.stdout.count("\n") == 3
 
 
 def _run_traced(code: str):

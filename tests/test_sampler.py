@@ -5,7 +5,6 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,11 +195,11 @@ def test_exhaustive_rejects_negative_half_width():
 #
 # On a row (all variables but the last fixed) the polynomials free of the
 # last variable have a gcd c.  Rows with c = 1 count whole, 0 < c < 2^20
-# go through the primes of c, and c = 0, c >= 2^20 or no polynomial free
-# of the last variable take the gcd of every value.  Each system below is
-# compared with _density_per_point, which takes a gcd per point in Python
-# integers.  A coefficient of 2^70 sends the values past int64, into
-# object arrays, and row constants past 2^62.
+# go through the roots mod each prime of c, c = 0 with one polynomial in
+# the last variable scans a window where it can be +-1, and the other
+# rows take the gcd of every value.  Each system below is compared with
+# _density_per_point, which takes a gcd per point.  A coefficient of 2^70
+# sends the values past int64 and row constants past 2^62.
 
 COEFFS = (1, -1, 2, -2, 3, 6, 12, 30, 210, 2 ** 21, 2 ** 70)
 BOX_N = {1: 12, 2: 5, 3: 2}
@@ -262,10 +261,11 @@ def _assert_matches_per_point(polys, nvars):
             == _density_per_point(polys, nvars, N)), polys
 
 
-@pytest.mark.parametrize("chunk", [sampler._CHUNK, 5])
-def test_row_constant_route_matches_per_point_oracle(monkeypatch, chunk):
-    # a chunk of 5 points splits every row, so the memo runs per chunk
-    monkeypatch.setattr(sampler, "_CHUNK", chunk)
+@pytest.mark.parametrize("bound", [5, 65536])
+def test_row_constant_route_matches_per_point_oracle(monkeypatch, bound):
+    # a bound of 5 sends every row constant above 4 past the primes of c,
+    # to the gcd at every point; 65536 keeps 6, 12, 30 and 210 on it
+    monkeypatch.setattr(sampler, "_PRIME_ROUTE_BOUND", bound)
     rng = random.Random(14)
     seen = set()
     for _ in range(300):
@@ -284,33 +284,44 @@ def test_row_constant_route_matches_per_point_property(data):
     _assert_matches_per_point(*_system(lambda opts: data.draw(st.sampled_from(opts))))
 
 
-class _GcdCalled(Exception):
-    pass
-
-
 def test_row_constant_route_skips_the_gcd(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise _GcdCalled
-
-    monkeypatch.setattr(np, "gcd", refuse)
     N = 50
+    points = (2 * N + 1) ** 2
     count = sum(1 for a in range(-N, N + 1) for b in range(-N, N + 1)
                 if math.gcd(a, b) == 1)
-    assert exhaustive_poly_density([X1, X2], N) == Fraction(count, (2 * N + 1) ** 2)
-    # no polynomial is free of the last variable: the gcd route remains
-    with pytest.raises(_GcdCalled):
-        exhaustive_poly_density([{(1, 0): 1, (0, 1): 1},
-                                 {(1, 0): 1, (0, 1): -1}], N)
+    calls = []
+    gcd = math.gcd
+
+    def counted(*args):
+        calls.append(None)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", counted)
+    assert exhaustive_poly_density([X1, X2], N) == Fraction(count, points)
+    # a gcd per row constant, none per point
+    assert len(calls) < points // 10, len(calls)
+    # no polynomial is free of the last variable: a gcd at every point
+    calls.clear()
+    exhaustive_poly_density([{(1, 0): 1, (0, 1): 1},
+                             {(1, 0): 1, (0, 1): -1}], N)
+    assert len(calls) >= points, len(calls)
 
 
 def test_exhaustive_long_row_in_chunks():
-    # one row of 2 * 10^7 + 1 points: a single array of it would take 160 MB
-    N = 10 ** 7
-    tracemalloc.start()
-    try:
-        d = exhaustive_poly_density([{(1,): 1}], N)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert d == Fraction(2, 2 * N + 1)
-    assert peak < 64 * 2 ** 20, peak
+    # rows of 2 * 10^6 + 1 and 2 * 10^7 + 1 points, never held in memory
+    for polys, N, good in [
+        ([{(1,): 1}], 10 ** 7, 2),
+        # y^2 - 2 is -1 at y = +-1 and at no other point
+        ([{(2,): 1, (0,): -2}], 10 ** 7, 2),
+        # the window |y| <= (10^6 + 1) / 1 covers the whole row; only
+        # y = 1 - 10^6 is good, and y = -1 - 10^6 lies just outside the box
+        ([{(1,): 1, (0,): 10 ** 6}], 10 ** 6, 1),
+    ]:
+        tracemalloc.start()
+        try:
+            d = exhaustive_poly_density(polys, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == Fraction(good, 2 * N + 1), polys
+        assert peak < 64 * 2 ** 20, (polys, peak)
