@@ -171,12 +171,9 @@ def _cmd_count(args, config: dict) -> int:
         brute = genff.brute_count(args.k, args.n, args.q, s=args.s, m=args.m,
                                   threads=args.threads)
     if args.mode in ("formula", "verify"):
-        if args.m == 1 and args.s == 1:
-            formula = genff.g_closed_form(args.k, args.n, args.q)
-        else:
-            formula = genff.count_gen_power_formula(
-                args.k, args.n, args.q, args.s, args.m,
-                max_digits=sys.get_int_max_str_digits())
+        formula = genff.count_gen_power_formula(
+            args.k, args.n, args.q, args.s, args.m,
+            max_digits=sys.get_int_max_str_digits())
     # tuple counts are big-integer quantities: always decimal strings
     if args.mode == "brute":
         _emit(config, {"method": "brute", "value": _enc_str(brute)})

@@ -14,6 +14,7 @@ import math
 import os
 from collections import Counter, deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from . import ffalg
@@ -540,17 +541,24 @@ def f2_pair_classes(n: int, lo: int, hi: int):
 # Exhaustive counting
 # ---------------------------------------------------------------------------
 
+def _check_count_args(k: int, n: int, q: int, s: int = 1, m: int = 1):
+    """(p, e) with q = p^e, once the arguments of a count are checked."""
+    if k < 1:
+        raise BadParams("k must be >= 1")
+    if min(n, s, m) < 1:
+        raise BadParams("n, s and m must be >= 1")
+    if n > ffalg.MAX_ENUM_N:
+        raise TooLarge(f"matrix size {n} above enumeration limit")
+    return ffalg.prime_power_split(q)
+
+
 def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
                 threads: int = 1) -> int:
     """Exact count of generating k-tuples of (M_n(F_{q^s}))^m over F_q,
     by exhaustive enumeration.
     """
-    if k < 1 or n < 1 or m < 1 or s < 1:
-        raise BadParams("k, n, s, m must be positive")
-    if n > ffalg.MAX_ENUM_N:
-        raise TooLarge(f"matrix size {n} above enumeration limit")
+    p, e = _check_count_args(k, n, q, s, m)
     cap = enum_cap()
-    p, e = ffalg.prime_power_split(q)
     # a power count (m > 1) runs over the same coordinate k-tuples
     states = q ** (s * n * n * k)
     if states > cap:
@@ -718,69 +726,82 @@ def _orbit_key(shape: AlgebraShape, gens) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms
+# Counts by formula
 # ---------------------------------------------------------------------------
 
-def g_closed_form(k: int, n: int, q: int) -> int:
-    """Number of generating k-tuples of M_n(F_q), closed form for n in {2,3}.
-
-    n=2: q^(2k+1) (q^(k-1) - 1)(q^k - 1)
-    n=3: q^(3k+4) (q^(k-1) - 1)(q^(k-1) + 1)(q^k - 1)
-         * (q^(3k-2) + q^(2k-2) - q^k - 2 q^(k-1) - q^(k-2) + q + 1)
-    """
-    if k < 1:
-        raise BadParams("k must be >= 1")
-    ffalg.prime_power_split(q)
-    if n == 2:
-        return q ** (2 * k + 1) * (q ** (k - 1) - 1) * (q ** k - 1)
-    if n == 3:
-        if k == 1:
-            return 0
-        tail = (q ** (3 * k - 2) + q ** (2 * k - 2) - q ** k
-                - 2 * q ** (k - 1) - q ** (k - 2) + q + 1)
-        return (q ** (3 * k + 4) * (q ** (k - 1) - 1) * (q ** (k - 1) + 1)
-                * (q ** k - 1) * tail)
-    raise UnsupportedSize(f"no closed form for n = {n}")
-
-
 def gen_count(k: int, n: int, q: int) -> int:
-    """gen_{k,n}(q) = g_{k,n}(q) / |PGL_n(F_q)|: the largest number of
-    copies of M_n(F_q) generable by k elements.
+    """gen_{k,n}(q) = g_{k,n}(q) / |PGL_n(F_q)|, the largest number of
+    copies of M_n(F_q) generable by k elements: the number a_n(q) of
+    absolutely simple n-dimensional representations of k loops, from the
+    Mozgovoy-Reineke identity (README "Counts by formula").
     """
-    g = g_closed_form(k, n, q)
-    _gl, pgl = ffalg.group_orders(n, q)
-    if g % pgl:
-        raise AssertionError("free action must make |PGL| divide the count")
-    return g // pgl
+    _check_count_args(k, n, q)
+    if k == 1 and n > 1:
+        return 0  # one matrix generates a commutative algebra, not M_n
+    return _absolutely_simple(k, n, q)
+
+
+def _absolutely_simple(k: int, n: int, q: int) -> int:
+    """a_n(q) = -(q-1) (L_n + sum_{r | n, r > 1} a_{n/r}(q^r) / (r (q^r - 1))),
+    L = log sum_j f_j t^j with f_j = B_j / |GL_j(q)| for the flag sums
+    B_0 = 1, B_j = -sum_{a=1..j} [j choose a]_q q^(k a j) B_{j-a}."""
+    gl = [alpha(j, j, q) for j in range(n + 1)]
+    B = [1]
+    for j in range(1, n + 1):
+        # [j choose a]_q = |GL_j| / (|GL_a| |GL_{j-a}| q^(a(j-a)))
+        B.append(-sum(gl[j] // (gl[a] * gl[j - a] * q ** (a * (j - a)))
+                      * q ** (k * a * j) * B[j - a] for a in range(1, j + 1)))
+    f = [Fraction(b, g) for b, g in zip(B, gl)]
+    log = [Fraction(0)]
+    for j in range(1, n + 1):
+        log.append((j * f[j] - sum(i * log[i] * f[j - i] for i in range(1, j))) / j)
+    a = -(q - 1) * (log[n] + sum(
+        Fraction(_absolutely_simple(k, n // r, q ** r), r * (q ** r - 1))
+        for r in range(2, n + 1) if n % r == 0))
+    if a.denominator != 1:
+        raise AssertionError("the count of absolutely simple modules must be an integer")
+    return a.numerator
+
+
+def g_closed_form(k: int, n: int, q: int) -> int:
+    """Number of generating k-tuples of M_n(F_q), gen_count * |PGL_n(F_q)|."""
+    return gen_count(k, n, q) * (alpha(n, n, q) // (q - 1))
 
 
 def count_gen_power_formula(k: int, n: int, q: int, s: int, m: int,
                             max_digits: int = 0) -> int:
     """|Gen_k((M_n(F_{q^s}))^m, F_q)| as the falling-factorial product
-    prod_{i=0}^{m-1} (g - i*t) with t = s * |PGL_n(F_{q^s})|.
-
-    With max_digits > 0 (0 means no limit, as for
-    sys.get_int_max_str_digits), TooLarge as soon as the product has more
-    decimal digits than that.
+    prod_{i=0}^{m-1} (g - i*t) with t = s * |PGL_n(F_{q^s})|, where
+    g / t = (1/s) sum_{d | s} mu(s/d) gen_{k,n}(q^d) (README "Counts by
+    formula").  With max_digits > 0 (0 means no limit, as for
+    sys.get_int_max_str_digits), TooLarge when the count has more decimal
+    digits than that, before any evaluation when a bound proves it.
     """
-    if m < 1:
-        raise BadParams("m must be >= 1")
+    _check_count_args(k, n, q, s, m)
     if k == 1 and n > 1:
-        g = 0  # one matrix generates a commutative algebra, not M_n
-    elif s == 1 and n in (2, 3):
-        g = g_closed_form(k, n, q)
-    else:
-        g = brute_count(k, n, q, s=s, m=1)
-    _gl, pgl = ffalg.group_orders(n, q ** s)
-    t = s * pgl
-    # the automorphisms, t of them, act freely on generating tuples, so t
-    # divides g and the factor g - (g / t) t is the first that vanishes
-    if m > g // t:
+        return 0  # one matrix generates a commutative algebra, not M_n
+    # g >= 2^low and g / t >= 2^copies, from g >= Q^(kn^2) / (16n) with
+    # Q = q^s, t <= 2s Q^(n^2-1) and 2^(b-1) <= q < 2^b; as 10/3 > log2(10),
+    # 3 low > 10 max_digits makes g longer than max_digits
+    b = q.bit_length()
+    low = k * n * n * s * (b - 1) - 4 - n.bit_length()
+    copies = low - (2 * s).bit_length() - (n * n - 1) * s * b
+    if max_digits and 3 * low > 10 * max_digits and m.bit_length() <= copies:
+        raise TooLarge(f"the count has more than {max_digits} decimal digits")
+    primes = ffalg.prime_factors(s)
+    orbits = sum((-1) ** j * _absolutely_simple(k, n, q ** (s // math.prod(sub)))
+                 for j in range(len(primes) + 1)
+                 for sub in itertools.combinations(primes, j))
+    if orbits % s:
+        raise AssertionError("the Galois group must act freely on generating tuples")
+    orbits //= s
+    if m > orbits:
         return 0
+    t = s * ffalg.group_orders(n, q ** s)[1]
     cap = 10 ** max_digits if max_digits else math.inf
     total = 1
     for i in range(m):
-        total *= g - i * t
+        total *= (orbits - i) * t
         if total >= cap:
             raise TooLarge(f"the count has more than {max_digits} decimal digits")
     return total

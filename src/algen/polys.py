@@ -189,26 +189,27 @@ class MinGenReport:
         assert self.r >= 2
 
 
-def _threshold(n: int, k: int) -> int:
-    return genff.gen_count(k, n, 2)
-
-
 def min_generators(n: int, m: int) -> MinGenReport:
     """Smallest r with M_n(Z)^m generated by r elements (n in {2, 3}).
 
-    r is the least k >= 2 with m <= gen_{k,n}(2), read from the closed
-    form; gen_{k,n}(2) is F_k(2), F = h for n = 2 and f for n = 3.  The
+    r is the least k >= 2 with m <= gen_{k,n}(2), read from gen_count;
+    gen_{k,n}(2) is F_k(2), F = h for n = 2 and f for n = 3.  The
     k = 2 threshold for n = 2 is h_2(2) = 16, which is exactly the copy
-    count realized by the explicit 16-copy witness.
+    count realized by the explicit 16-copy witness.  gen_{k+1,n}(2) >=
+    2^(n^2) gen_{k,n}(2), so k doubles and then bisects.
     """
     if n not in (2, 3):
         raise BadParams("thresholds cover n in {2, 3}")
     if m < 1:
         raise BadParams("m must be >= 1")
-    k = 2
-    while _threshold(n, k) < m:
-        k += 1
-    return MinGenReport(n, m, k, _threshold(n, k - 1), _threshold(n, k))
+    lo, hi = 1, 2  # gen_{1,n}(2) = 0 < m
+    while genff.gen_count(hi, n, 2) < m:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if genff.gen_count(mid, n, 2) < m else (lo, mid)
+    return MinGenReport(n, m, hi, genff.gen_count(lo, n, 2),
+                        genff.gen_count(hi, n, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -160,33 +160,22 @@ def mc_density(shape: AlgebraShape, k: int, box: BoxModel,
 # Exhaustive polynomial-system densities over integer boxes
 # ---------------------------------------------------------------------------
 
-def normalize_poly(poly, nvars: int | None = None):
-    """Accept {exps: coeff} mappings or (exps, coeff) pair lists; return a
-    sorted tuple of (exps, coeff) with consistent arity and no zero terms."""
-    items = poly.items() if hasattr(poly, "items") else poly
-    terms = []
-    for exps, coeff in items:
-        exps = tuple(int(e) for e in exps)
-        coeff = int(coeff)
-        if any(e < 0 for e in exps):
-            raise BadParams("exponents must be >= 0")
-        if nvars is None:
-            nvars = len(exps)
-        elif len(exps) != nvars:
-            raise BadParams("inconsistent variable counts across terms")
-        if coeff:
-            terms.append((exps, coeff))
-    if nvars is None:
-        raise BadParams("cannot infer the variable count of an empty polynomial")
-    return tuple(sorted(terms)), nvars
-
-
 def _normalize_system(polys):
+    """Each {exps: coeff} map as a sorted tuple of (exps, coeff) without
+    zero terms, and the variable count that every term must share."""
     nvars = None
     system = []
     for poly in polys:
-        terms, nvars = normalize_poly(poly, nvars)
-        system.append(terms)
+        terms = sorted((tuple(map(int, exps)), int(c)) for exps, c in poly.items())
+        if not terms and nvars is None:
+            raise BadParams("cannot infer the variable count of an empty polynomial")
+        for exps, _ in terms:
+            if any(e < 0 for e in exps):
+                raise BadParams("exponents must be >= 0")
+            nvars = len(exps) if nvars is None else nvars
+            if len(exps) != nvars:
+                raise BadParams("inconsistent variable counts across terms")
+        system.append(tuple(t for t in terms if t[1]))
     if not system:
         raise BadParams("need at least one polynomial")
     return system, nvars

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import algen
-from algen import cli, genff
+from algen import cli, ffalg, genff
 from algen.cli import main
 from algen.errors import TooLarge
 from algen.polys import f_poly, h_poly, poly_eval
@@ -198,13 +198,15 @@ def test_exit_codes(capsys):
     assert code == 2  # not a prime power
     code, _ = run_cli(capsys, "count", "--k", "4", "--n", "3", "--q", "3", "--brute")
     assert code == 3  # enumeration cap
-    # without a closed form the formula takes g from a brute count, which
-    # meets the same cap; m = 1 over a prime field has no such fallback
-    for argv, want in ((("--n", "2", "--q", "4", "--s", "2"), 3),
-                       (("--n", "4", "--q", "2", "--m", "2"), 3),
-                       (("--n", "4", "--q", "2"), 2)):
-        code, out = run_cli(capsys, "count", "--k", "2", *argv)
-        assert code == want and out == "", argv
+    # the formula refuses n above the enumeration limit, and counts that a
+    # bound proves longer than the digit limit, before it evaluates anything
+    for argv in (("--k", "2", "--n", "9", "--q", "2"),
+                 ("--k", "3000", "--n", "3", "--q", "1000003"),
+                 ("--k", "1000000", "--n", "3", "--q", "2", "--m", "2")):
+        t0 = time.perf_counter()
+        code, out = run_cli(capsys, "count", *argv)
+        assert code == 3 and out == "", argv
+        assert time.perf_counter() - t0 < 1, argv
     code, _ = run_cli(capsys, "exhaustive", "--polys", "not json", "--N", "2")
     assert code == 2
     with pytest.raises(SystemExit) as exc:
@@ -497,8 +499,8 @@ def test_count_brute_power_beyond_the_orbit_count(capsys):
 
 def test_count_k1_formula_needs_no_sweep(capsys):
     # one matrix generates a commutative algebra, so no single n x n
-    # matrix, n >= 2, generates: g = 0 without the 2^24-subspace sweep of
-    # M_5(F_2), which has no closed form; --verify checks the rule on a
+    # matrix, n >= 2, generates: g = 0 without evaluating the identity or
+    # the 2^24-subspace sweep of M_5(F_2); --verify checks the rule on a
     # shape the brute count can reach
     t0 = time.perf_counter()
     doc = run_json(capsys, "count", "--k", "1", "--n", "5", "--q", "2", "--m", "2")
@@ -507,6 +509,38 @@ def test_count_k1_formula_needs_no_sweep(capsys):
     doc = run_json(capsys, "count", "--k", "1", "--n", "2", "--q", "2", "--s",
                    "2", "--m", "2", "--verify")
     assert doc["brute"] == doc["formula"] == "0"
+
+
+def test_formula_counts_every_n_and_extension_degree(capsys):
+    # counts the parent refused: n = 4 (136192 * |PGL_4(F_2)|), its
+    # falling factorial, n = 1 (q^k), and extension blocks over F_q, one of
+    # them the 14442624 that --brute sweeps in about 10 s
+    pgl4 = 2745630720 // 136192
+    assert pgl4 == ffalg.group_orders(4, 2)[1]
+    t0 = time.perf_counter()
+    for argv, want in ((("--n", "4", "--q", "2"), 2745630720),
+                       (("--n", "4", "--q", "2", "--m", "2"),
+                        2745630720 * (2745630720 - pgl4)),
+                       (("--n", "1", "--q", "7"), 49),
+                       (("--n", "2", "--q", "4", "--s", "2"), 4007669760),
+                       (("--n", "2", "--q", "2", "--s", "3"), 14442624)):
+        doc = run_json(capsys, "count", "--k", "2", *argv)
+        assert doc == {"config": doc["config"], "method": "formula",
+                       "value": str(want)}, argv
+    assert time.perf_counter() - t0 < 1
+
+
+def test_formula_mode_never_sweeps(capsys, monkeypatch):
+    # formula counts go through count_gen_power_formula alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("formula mode called brute_count")
+
+    monkeypatch.setattr(genff, "brute_count", refuse)
+    for k, n, q, s, m in itertools.product((1, 2, 3), (1, 2, 3, 4), (2, 3, 4),
+                                           (1, 2), (1, 2)):
+        doc = run_json(capsys, "count", "--k", str(k), "--n", str(n), "--q",
+                       str(q), "--s", str(s), "--m", str(m))
+        assert doc["value"] == str(genff.count_gen_power_formula(k, n, q, s, m))
 
 
 def test_count_brute_power_needs_no_group_sweep(capsys):

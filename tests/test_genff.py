@@ -448,8 +448,10 @@ def test_closed_forms():
     assert g_closed_form(2, 3, 2) == 129024
     assert g_closed_form(1, 2, 5) == 0
     assert g_closed_form(1, 3, 5) == 0
-    with pytest.raises(UnsupportedSize):
-        g_closed_form(2, 4, 2)
+    # every n up to the enumeration limit, and none above it
+    assert g_closed_form(2, 4, 2) == 2745630720 == 136192 * ffalg.group_orders(4, 2)[1]
+    with pytest.raises(TooLarge):
+        g_closed_form(2, ffalg.MAX_ENUM_N + 1, 2)
 
 
 def test_brute_equals_closed_form_small():
@@ -492,6 +494,48 @@ def test_gen_count_values():
         for m in range(2, 6):
             assert gen_count(m, 2, q) == poly_eval(h_poly(m), q), (m, q)
             assert gen_count(m, 3, q) == poly_eval(f_poly(m), q), (m, q)
+
+
+def test_gen_count_beyond_the_paper():
+    # the Mozgovoy-Reineke identity past n = 3: q^k for n = 1, 0 for k = 1
+    assert gen_count(2, 4, 2) == 136192
+    assert gen_count(2, 5, 2) == 87994368
+    assert gen_count(3, 3, 2) == 660480
+    assert gen_count(2, 6, 2) == 206406369280
+    for q in (2, 3, 4, 5, 7):
+        for k in (1, 2, 3, 4):
+            assert gen_count(k, 1, q) == q ** k
+    for n in range(2, ffalg.MAX_ENUM_N + 1):
+        assert gen_count(1, n, 2) == 0
+
+
+def test_subfield_sum_matches_brute_count():
+    # g over F_q for M_n(F_{q^s}) is the Moebius sum over the subfields
+    # F_{q^d}, d | s, of |PGL_n(q^s)| / |PGL_n(q^d)| * g_{k,n}(q^d)
+    for k, n, q, s in [(2, 2, 2, 2), (3, 1, 2, 3), (2, 1, 3, 2), (1, 2, 2, 2),
+                       (1, 2, 3, 2)]:
+        assert count_gen_power_formula(k, n, q, s, 1) == brute_count(k, n, q, s=s)
+    assert count_gen_power_formula(2, 2, 2, 3, 1) == 14442624
+
+
+def test_formula_refused_before_the_work():
+    # a bound proves the count longer than the digit limit, so nothing is
+    # evaluated: g_{1000000,3}(2) would have about 2.7 million digits
+    for args in [(3000, 3, 1000003, 1, 1), (1000000, 3, 2, 1, 2),
+                 (2, 2, 2, 10 ** 9, 2), (1, 1, 2, 10 ** 11, 1)]:
+        with pytest.raises(TooLarge):
+            count_gen_power_formula(*args, max_digits=4300)
+    # more copies than k matrices generate: 0, however long g is
+    assert count_gen_power_formula(2000, 2, 2, 1, 2 ** 20000, max_digits=300) == 0
+    # the same bound never refuses a count under the limit
+    for k, n, q, s, m in itertools.product((1, 2, 3, 40, 200), (1, 2, 3),
+                                           (2, 3, 7), (1, 2, 5), (1, 2, 16)):
+        try:
+            c = count_gen_power_formula(k, n, q, s, m, max_digits=300)
+        except TooLarge:
+            assert count_gen_power_formula(k, n, q, s, m) >= 10 ** 300
+        else:
+            assert c < 10 ** 300
 
 
 def test_alpha():

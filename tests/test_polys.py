@@ -100,6 +100,20 @@ def test_min_generators_thresholds():
         min_generators(2, 0)
 
 
+def test_min_generators_by_bisection_matches_linear_scan():
+    # the paper's h_k(2) = 2^(2k) (2^(k-1) - 1)(2^k - 1) / 3, scanned one
+    # k at a time
+    def linear(m):
+        k = 2
+        while 4 ** k * (2 ** (k - 1) - 1) * (2 ** k - 1) // 3 < m:
+            k += 1
+        return k
+
+    for m in (1, 16, 17, 769, 10 ** 4299):
+        assert min_generators(2, m).r == linear(m), m
+    assert [min_generators(3, m).r for m in (1, 768, 769)] == [2, 2, 3]
+
+
 def test_min_generators_monotone_unit_jumps():
     seen = []
     prev_r = None
