@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +37,18 @@ def enum_cap() -> int:
     if cap < 1:
         raise BadParams(f"ALGEN_ENUM_CAP must be positive: {v!r}")
     return cap
+
+
+def check_enum(base: int, exponent: int, what: str) -> None:
+    """TooLarge when base ** exponent things to enumerate (base >= 1)
+    exceed enum_cap().  As base >= 2^(b - 1), b its bit length, the power
+    is over the cap once (b - 1) exponent reaches the cap's bit length;
+    below that it has under twice the cap's bits and is built."""
+    cap = enum_cap()
+    if ((base.bit_length() - 1) * exponent >= cap.bit_length()
+            or base ** exponent > cap):
+        shown = base if base <= cap else f"(a {base.bit_length()}-bit base)"
+        raise TooLarge(f"{shown}^{exponent} {what} exceed enumeration cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -474,21 +486,6 @@ def _f2_span_generates(D: int, seed: int, gens, key=None) -> bool:
 
 
 @lru_cache(maxsize=4)
-def f2_generating_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Unordered pairs a < b of M_n(F_2) codes that generate the algebra.
-
-    The generated subalgebra depends only on the set of entries, so the
-    ordered count is twice the length (no single matrix generates M_n
-    for n >= 2).
-    """
-    if n < 2 or n > 3:
-        raise UnsupportedSize("pair table kept for n in {2, 3} only")
-    q = 1 << (n * n)
-    return tuple((a, b) for a in range(q) for b in range(a + 1, q)
-                 if _f2_generates(n, (a, b)))
-
-
-@lru_cache(maxsize=4)
 def _f2_symmetries(n: int) -> tuple[tuple[int, ...], ...]:
     """Code permutation tables of the 2 * n! symmetries of the {0,1}
     matrices that preserve generation over any ring: conjugation by a
@@ -558,11 +555,8 @@ def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
     by exhaustive enumeration.
     """
     p, e = _check_count_args(k, n, q, s, m)
-    cap = enum_cap()
     # a power count (m > 1) runs over the same coordinate k-tuples
-    states = q ** (s * n * n * k)
-    if states > cap:
-        raise TooLarge(f"{states} states exceed enumeration cap {cap}")
+    check_enum(q, s * n * n * k, "states")
     ctx = make_field(p, e)
     if m == 1:
         return _brute_single(k, n, ctx, s, threads)
@@ -587,7 +581,8 @@ def _pivot_blocks(k: int, d: int):
 
 
 def _subspace_total(k: int, d: int, q: int) -> int:
-    return sum(q ** len(free) for _, free in _pivot_blocks(k, d))
+    """Number of subspaces of F_q^d of dimension at most k."""
+    return sum(alpha(d, j, q) // alpha(j, j, q) for j in range(min(k, d) + 1))
 
 
 def _subspace_shard(args) -> tuple[int]:
@@ -645,42 +640,57 @@ def _subspace_shard(args) -> tuple[int]:
 def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
     """Count generating k-tuples of (M_n(F_{q^s}))^m by the simple-factor
     test: the m coordinate k-tuples must each generate M_n(F_{q^s}) and lie
-    in pairwise distinct automorphism orbits.  Every coordinate k-tuple is
-    decided and keyed by its orbit once; with orbit sizes c_1, c_2, ...,
-    the m-tuples of pairwise distinct orbits number m! e_m(c_1, c_2, ...).
+    in pairwise distinct automorphism orbits.  With the orbit sizes c_1,
+    c_2, ... of generating_orbits, the m-tuples of pairwise distinct
+    orbits number m! e_m(c_1, c_2, ...).
     """
-    shape = shape_over_field(ctx, [(n, s, 1)])
-    mats = [_element_coords(shape, (a,)) for a in
-            itertools.product(range(ctx.q ** s), repeat=n * n)]
-    # each matrix recoded over F_p, x 1 last when q > p, and its operator
-    # built once; the key's closure decides
-    prime, vecs = _over_prime_field(shape, mats)
-    if ctx.p == 2:
-        op = _f2_operators(prime.blocks)[2]
-        ops = [op(_f2_encode(v)) for v in vecs]
-    else:
-        ops = [left_mul_ops(prime, v) for v in vecs]
-    sizes = Counter()
-    for tup in itertools.product(range(len(mats)), repeat=k):
-        tup += tuple(range(len(mats), len(vecs)))
-        try:
-            sizes[_orbit_key(prime, [ops[i] for i in tup])] += 1
-        except BadParams:
-            pass
+    sizes = [size for _first, size in generating_orbits(k, n, ctx, s).values()]
     if m > len(sizes):
         return 0
     # e[j]: elementary symmetric sum of degree j of the orbit sizes so far
     e = [1] + [0] * m
-    for c in sizes.values():
+    for c in sizes:
         for j in range(m, 0, -1):
             e[j] += e[j - 1] * c
     return math.factorial(m) * e[m]
 
 
-def _orbit_key(shape: AlgebraShape, gens) -> tuple:
+def generating_orbits(k: int, n: int, ctx: FieldCtx, s: int = 1) -> dict:
+    """The automorphism orbits of the generating k-tuples of M_n(F_{q^s})
+    as an F_q-algebra, ctx = F_q: {_orbit_key: [first member, size]}.
+
+    Every k-tuple of matrices is keyed once, in row-major lexicographic
+    order of its entry codes, so each first member (a tuple of k matrices,
+    each a row-major tuple of codes) is the least tuple of its orbit, and
+    the orbits come in the order of their first members.
+    """
+    shape = shape_over_field(ctx, [(n, s, 1)])
+    mats = list(itertools.product(range(ctx.q ** s), repeat=n * n))
+    # each matrix recoded over F_p, x 1 last when q > p, and its operator
+    # built once; the key's closure decides
+    prime, vecs = _over_prime_field(
+        shape, [_element_coords(shape, (a,)) for a in mats])
+    if ctx.p == 2:
+        op = _f2_operators(prime.blocks)[2]
+        ops = [op(_f2_encode(v)) for v in vecs]
+    else:
+        ops = [left_mul_ops(prime, v) for v in vecs]
+    scalars = ops[len(mats):]
+    orbits: dict = {}
+    for tup in itertools.product(range(len(mats)), repeat=k):
+        key = _orbit_key(prime, [ops[i] for i in tup] + scalars)
+        orbit = orbits.get(key)
+        if orbit:
+            orbit[1] += 1
+        elif key is not None:
+            orbits[key] = [tuple(mats[i] for i in tup), 1]
+    return orbits
+
+
+def _orbit_key(shape: AlgebraShape, gens) -> tuple | None:
     """A key of a generating tuple of a one-block F_q shape, equal for two
     tuples iff an automorphism of the block as an F_q-algebra maps one to
-    the other.
+    the other; None when the tuple does not generate.
 
     The tuple comes recoded over F_p (_over_prime_field, which adds x 1 as
     a generator when q > p): shape is the recoded shape and gens the
@@ -699,8 +709,6 @@ def _orbit_key(shape: AlgebraShape, gens) -> tuple:
     generator g, x 1 included, so it maps every word to the same word: L is
     an algebra automorphism that commutes with x 1, so F_q-linear.  No
     Galois image needs to be tried.
-
-    Raises BadParams if the words of the tuple do not span the block.
     """
     D = shape.rank
     key = []
@@ -720,9 +728,7 @@ def _orbit_key(shape: AlgebraShape, gens) -> tuple:
 
         _closure(add, lambda: 0, shape.ctx.p, _scalar_coords(shape), gens)
         full = ech.dim == D
-    if not full:
-        raise BadParams("orbit keys are defined for generating tuples only")
-    return tuple(key)
+    return tuple(key) if full else None
 
 
 # ---------------------------------------------------------------------------

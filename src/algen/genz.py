@@ -5,9 +5,11 @@ spanned by all monomials in its entries (including 1) is the full integer
 lattice.  The closure is computed by Noetherian-chain iteration in the
 loop genff._closure, which the F_p closure shares: adjoin left products
 by the generators and re-reduce until the lattice stops growing.  The
-Hermite normal form of the final lattice certifies the outcome; its
-index is 1 exactly when the tuple generates, and the prime factors of
-the index are the residue characteristics where generation fails.
+final echelon certifies the outcome: at full rank the product of its
+pivots is the index of the lattice, 1 exactly when the tuple generates,
+and the prime factors of the index are the residue characteristics
+where generation fails.  closure_lattice also gives the lattice itself,
+as its Hermite normal form.
 
 A pair in M_2(Z) or M_3(Z) needs no closure for the bare verdict: it
 generates iff the rows and the columns of its commutators
@@ -61,10 +63,7 @@ class _ZEchelon:
         """Product of pivots when full rank, else 0."""
         if len(self.rows) < self.D:
             return 0
-        out = 1
-        for j, row in self.rows.items():
-            out *= row[j]
-        return out
+        return math.prod(row[j] for j, row in self.rows.items())
 
     def add(self, vec) -> bool:
         """Add a vector to the lattice; True iff the lattice grew."""
@@ -131,12 +130,7 @@ class Lattice:
     @property
     def index(self) -> int:
         """Product of pivots when full rank; 0 when rank-deficient."""
-        if self.rank < self.D:
-            return 0
-        out = 1
-        for p in self.pivots():
-            out *= p
-        return out
+        return math.prod(self.pivots()) if self.rank == self.D else 0
 
     def pivots(self) -> tuple[int, ...]:
         out = []
@@ -187,9 +181,8 @@ def generates_Z_bool(shape: AlgebraShape, t) -> bool:
 
     A pair in M_2(Z) or M_3(Z) (one block (n, 1, 1), n in {2, 3}) is
     decided by its commutator lattices (commutator_lattice_test), with no
-    closure.  Every other shape and tuple length takes the closure: it
-    has full rank and its pivots multiply to 1.  HNF reduction leaves the
-    pivots alone, so the verdict is that of generates_Z.
+    closure.  Every other shape and tuple length takes the closure, as
+    generates_Z does: it has full rank and its pivots multiply to 1.
     """
     if shape.ctx is None and shape.blocks in (((2, 1, 1),), ((3, 1, 1),)):
         t = genff._check_tuple(shape, t)
@@ -213,14 +206,12 @@ class ZGenReport:
 
 
 def generates_Z(shape: AlgebraShape, t) -> ZGenReport:
-    """Certify generation over Z: full rank and index 1 in the closure."""
-    lat = closure_lattice(shape, t)
-    index = lat.index
-    if lat.rank < shape.rank:
-        return ZGenReport(False, 0, ())
+    """Certify generation over Z: full rank and index 1 in the closure,
+    the index being the product of the closure echelon's pivots."""
+    index = _closure_echelon(shape, t).index_if_full()
     if index == 1:
         return ZGenReport(True, 1, ())
-    return ZGenReport(False, index, factor_index(index))
+    return ZGenReport(False, index, factor_index(index) if index else ())
 
 
 # ---------------------------------------------------------------------------
@@ -335,42 +326,20 @@ def _code_to_zmat(n: int, code: int) -> tuple[int, ...]:
     return tuple((code >> i) & 1 for i in range(n * n))
 
 
-def _entry_key(n: int, a: int, b: int):
-    """Row-major {0,1} encoding of an ordered pair, for lexicographic order."""
-    return _code_to_zmat(n, a) + _code_to_zmat(n, b)
-
-
-def m2f2_pair_orbits() -> list[list[tuple[int, int]]]:
-    """Orbits of the 96 generating pairs of M_2(F_2) under simultaneous
-    conjugation, each orbit sorted by row-major encoding."""
-    shape = genff.shape_over_field(ffalg.make_field(2), [(2, 1, 1)])
-    op = genff._f2_operators(shape.blocks)[2]
-    orbits: dict = {}
-    for a, b in genff.f2_generating_pairs(2):
-        for pair in ((a, b), (b, a)):
-            key = genff._orbit_key(shape, [op(c) for c in pair])
-            orbits.setdefault(key, []).append(pair)
-    return sorted((sorted(orb, key=lambda ab: _entry_key(2, *ab))
-                   for orb in orbits.values()),
-                  key=lambda orb: _entry_key(2, *orb[0]))
-
-
 def construct_M2Z16():
     """Two explicit generators of M_2(Z)^16.
 
-    Takes the lexicographically smallest representative of each of the 16
-    conjugation orbits of generating pairs of M_2(F_2), lifts entrywise to
-    {0,1} integer matrices, and assembles them coordinatewise.  The result
-    is certified by the Z-closure before returning.
+    genff.generating_orbits gives the 16 automorphism orbits of the 96
+    generating pairs of M_2(F_2), each of size |PGL_2(F_2)| = 6, in order
+    of their first members, the row-major least pairs.  Those {0,1} pairs
+    are lifted unchanged to integer matrices and assembled coordinatewise;
+    the Z-closure certifies the result before it is returned.
     """
-    orbits = m2f2_pair_orbits()
+    orbits = genff.generating_orbits(2, 2, ffalg.make_field(2))
     if len(orbits) != 16:
         raise CertificationFailed(f"expected 16 orbits, found {len(orbits)}")
-    reps = sorted((orb[0] for orb in orbits), key=lambda ab: _entry_key(2, *ab))
-    x = tuple(_code_to_zmat(2, a) for a, _b in reps)
-    y = tuple(_code_to_zmat(2, b) for _a, b in reps)
-    shape = shape_over_Z([(2, 16)])
-    report = generates_Z(shape, [x, y])
+    x, y = zip(*(first for first, _size in orbits.values()))
+    report = generates_Z(shape_over_Z([(2, 16)]), [x, y])
     if not report.generates:
         raise CertificationFailed(
             f"witness failed certification: index {report.index}")

@@ -17,9 +17,9 @@ from fractions import Fraction
 from operator import countOf, not_
 
 from . import genff, genz
-from .errors import BadParams, TooLarge
+from .errors import BadParams
 from .ffalg import make_field, prime_factors
-from .genff import AlgebraShape, enum_cap
+from .genff import AlgebraShape, check_enum
 from .parutil import sharded_sum
 from .polys import IntPoly, poly_eval, poly_trim
 
@@ -294,10 +294,8 @@ def exhaustive_poly_density(polys, N: int) -> Fraction:
     if N < 0:
         raise BadParams(f"half-width must be >= 0, got {N}")
     system, nvars = _normalize_system(polys)
-    cap = enum_cap()
+    check_enum(2 * N + 1, nvars, "grid points")
     total = (2 * N + 1) ** nvars
-    if total > cap:
-        raise TooLarge(f"{total} grid points exceed enumeration cap {cap}")
     free = [t for t in system if all(e[-1] == 0 for e, _ in t)]
     rest = [t for t in system if any(e[-1] for e, _ in t)]
 

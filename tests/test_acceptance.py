@@ -11,6 +11,7 @@ from algen import density, ffalg, genff, genz, polys, sampler
 from algen.genff import shape_over_field, shape_over_Z
 
 from conftest import ACCEPTANCE_LINES
+from f2pairs import f2_generating_pairs
 from seededpairs import m2z_pairs_with_closure_verdicts
 
 getcontext().prec = 30
@@ -215,7 +216,7 @@ def test_criterion_11_property_suites():
             if genff.generates_structural(f3, [a, b], 2) != \
                     genff.generates(sh23, [(a,), (b,)]):
                 struct_ok = False
-    gen_pairs = set(genff.f2_generating_pairs(3))
+    gen_pairs = set(f2_generating_pairs(3))
     codes = [tuple((c >> i) & 1 for i in range(9)) for c in range(512)]
     for a in range(512):
         # diagonal pairs span a commutative subalgebra and never generate

@@ -199,12 +199,17 @@ def test_exit_codes(capsys):
     code, _ = run_cli(capsys, "count", "--k", "4", "--n", "3", "--q", "3", "--brute")
     assert code == 3  # enumeration cap
     # the formula refuses n above the enumeration limit, and counts that a
-    # bound proves longer than the digit limit, before it evaluates anything
-    for argv in (("--k", "2", "--n", "9", "--q", "2"),
-                 ("--k", "3000", "--n", "3", "--q", "1000003"),
-                 ("--k", "1000000", "--n", "3", "--q", "2", "--m", "2")):
+    # bound proves longer than the digit limit, before it evaluates anything;
+    # 3^4000000 brute states and 2000001^800 grid points are refused on bit
+    # lengths, neither built nor printed (both pass the 4300-digit limit)
+    monomial = json.dumps([{",".join(["1"] * 800): 1}])
+    for argv in (("count", "--k", "2", "--n", "9", "--q", "2"),
+                 ("count", "--k", "3000", "--n", "3", "--q", "1000003"),
+                 ("count", "--k", "1000000", "--n", "3", "--q", "2", "--m", "2"),
+                 ("count", "--k", "1000000", "--n", "2", "--q", "3", "--brute"),
+                 ("exhaustive", "--polys", monomial, "--N", "1000000")):
         t0 = time.perf_counter()
-        code, out = run_cli(capsys, "count", *argv)
+        code, out = run_cli(capsys, *argv)
         assert code == 3 and out == "", argv
         assert time.perf_counter() - t0 < 1, argv
     code, _ = run_cli(capsys, "exhaustive", "--polys", "not json", "--N", "2")

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from listclosure import list_closure_generates
 
-from algen import ffalg, genff, genz
+from algen import ffalg, genff
 from algen.errors import BadParams, ShapeMismatch, TooLarge, UnsupportedSize
 from algen.ffalg import make_field, mat_mul
 from algen.genff import (
@@ -27,7 +27,6 @@ from algen.genff import (
     brute_count,
     count_field_type_subalgebras,
     count_gen_power_formula,
-    f2_generating_pairs,
     g_closed_form,
     gen_count,
     generates,
@@ -434,7 +433,7 @@ def test_invariant_line_tables_wait_for_the_first_call():
          "import algen.cli\n"
          "masks = algen.genff._f2_invariant_masks\n"
          "print(masks.cache_info().currsize)\n"
-         "algen.genff.f2_generating_pairs(2)\n"
+         "algen.genff._f2_generates(2, (1, 2))\n"
          "print(masks.cache_info().currsize)"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         check=True).stdout
@@ -685,9 +684,10 @@ def test_orbit_key_matches_conjugacy_oracle():
 
 
 def test_orbit_key_refuses_non_generating_tuples():
-    f2 = make_field(2)
-    with pytest.raises(BadParams):
-        _orbit_key(f2, 1, 2, (E12, E12))
+    f2, f3 = make_field(2), make_field(3)
+    assert _orbit_key(f2, 1, 2, (E12, E12)) is None
+    assert _orbit_key(f3, 1, 2, (E12, E12)) is None
+    assert _orbit_key(f2, 2, 1, ((1,), (1,))) is None
 
 
 def test_f2_keys_never_reach_the_list_loop(monkeypatch):
@@ -698,8 +698,8 @@ def test_f2_keys_never_reach_the_list_loop(monkeypatch):
 
     monkeypatch.setattr(genff, "_closure", refuse)
     assert brute_count(2, 2, 2, m=2) == 8640
-    orbits = genz.m2f2_pair_orbits()
-    assert len(orbits) == 16 and {len(orb) for orb in orbits} == {6}
+    orbits = genff.generating_orbits(2, 2, make_field(2))
+    assert [size for _first, size in orbits.values()] == [6] * 16
 
 
 # (q, samples): M_2(F_q) as an algebra over F_q itself, q = p^2
@@ -956,10 +956,6 @@ def test_field_type_subalgebra_counts():
         count_field_type_subalgebras(3, 2, 2)  # 2 does not divide 3
 
 
-def test_f2_generating_pairs_table():
-    assert 2 * len(f2_generating_pairs(2)) == 96
-
-
 def _surjections(k, j):
     """Number of maps from k positions onto j entries: j! * S(k, j)."""
     return sum((-1) ** i * math.comb(j, i) * (j - i) ** k for i in range(j + 1))
@@ -984,6 +980,16 @@ def test_subspace_sweep_matches_entry_set_oracle():
                          ((2, 2, 4), 1), ((2, 2, 2), 2), ((3, 1, 2), 2),
                          ((4, 1, 3), 2)):
         assert brute_count(k, n, q, s=s) == _entry_set_count(k, n, q, s)
+
+
+def test_subspace_total_counts_the_pivot_blocks():
+    # the Gaussian-binomial sum against q^f subspaces per RREF pivot set
+    # with f free entries
+    for q in (2, 3, 4, 5, 7):
+        for d in range(9):
+            for k in range(1, 5):
+                assert genff._subspace_total(k, d, q) == sum(
+                    q ** len(free) for _, free in genff._pivot_blocks(k, d))
 
 
 def _subspace_shards(k, n, q, s, cuts):

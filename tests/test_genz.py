@@ -6,13 +6,14 @@ import random
 
 import pytest
 from conjugacy import are_conjugate_tuples, gl_elements, inverse
+from f2pairs import f2_generating_pairs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from seededpairs import m2z_pairs_with_closure_verdicts
 
 from algen import ffalg, genff, genz, sampler
 from algen.errors import BadParams, FactorizationIncomplete, UnsupportedSize
-from algen.genff import f2_generating_pairs, shape_over_Z, shape_over_field
+from algen.genff import shape_over_Z, shape_over_field
 from algen.genz import (
     closure_lattice,
     commutator_lattice_test,
@@ -22,7 +23,6 @@ from algen.genz import (
     generates_Z,
     generates_Z_bool,
     hnf,
-    m2f2_pair_orbits,
     zero_one_census,
 )
 
@@ -409,10 +409,10 @@ def test_factor_index_refuses_probable_primes():
 # ---------------------------------------------------------------------------
 
 def test_pair_orbits():
-    orbits = m2f2_pair_orbits()
+    orbits = genff.generating_orbits(2, 2, ffalg.make_field(2))
     assert len(orbits) == 16
-    assert sum(len(o) for o in orbits) == 96
-    assert all(len(o) == 6 for o in orbits)  # free action of PGL_2(F_2)
+    # PGL_2(F_2) acts freely: 16 orbits of 6 make the 96 generating pairs
+    assert [size for _first, size in orbits.values()] == [6] * 16
 
 
 def test_construct_m2z16():
@@ -425,6 +425,30 @@ def test_construct_m2z16():
     for mats in (x, y):
         for mat in mats:
             assert set(mat) <= {0, 1}
+
+
+def test_construct_m2z16_against_conjugacy_oracle():
+    # the 16 pairs lie in distinct GL_2(F_2) orbits, each is the row-major
+    # least pair of its orbit, and the orbits cover the 96 generating pairs
+    f2 = ffalg.make_field(2)
+    x, y = construct_M2Z16()
+    reps = list(zip(x, y))
+    assert reps == sorted(reps)
+    assert not any(are_conjugate_tuples(f2, r1, r2)
+                   for r1, r2 in itertools.combinations(reps, 2))
+    covered = set()
+    for A, B in reps:
+        orbit = set()
+        for g in gl_elements(f2, 2):
+            ginv = inverse(f2, 2, g)
+            orbit.add(tuple(ffalg.mat_mul(f2, 2, ffalg.mat_mul(f2, 2, g, a), ginv)
+                            for a in (A, B)))
+        assert min(orbit) == (A, B) and len(orbit) == 6
+        covered |= orbit
+    mats = [genz._code_to_zmat(2, c) for c in range(16)]
+    pairs = {(mats[a], mats[b]) for a, b in f2_generating_pairs(2)}
+    assert covered == pairs | {(b, a) for a, b in pairs}
+    assert len(covered) == 96
 
 
 def test_census_n2():
