@@ -5,7 +5,8 @@ the partial sum H_M of its series plus the midpoint of the two integrals
 that bracket the rest, and the half-width of that bracket is its bound;
 H_M is evaluated in exact rationals by Euler-Maclaurin and rounded once.
 An Euler product is truncated at a prime bound P, with an integral bound
-on the discarded log-tail; den_matrix(3, k) multiplies its largest factors
+on the discarded log-tail; its primes are sieved one window at a time and
+never held all at once.  den_matrix(3, k) multiplies its largest factors
 exactly and sums the logarithms of the rest in binary64.  Decimal
 arithmetic runs at 30 significant digits, in a local context that leaves
 the caller's precision alone; the rounding it, the binary64 sum and the
@@ -132,23 +133,53 @@ def _certified(value: Decimal, err: Decimal, ops: int, P: int | None,
     return DensityValue(float(value), float(err) + _SLACK, P, method)
 
 
-def sieve_primes(P: int) -> list[int]:
-    """Primes <= P by Eratosthenes over the odd numbers; refused above the
-    sieve cap."""
+def _check_sieve_bound(P: int) -> None:
     if P > MAX_SIEVE:
         raise BadParams(f"prime bound {P} above sieve cap {MAX_SIEVE}")
-    if P < 2:
-        return []
-    # flags[i] stands for the odd number 2i + 1
-    half = (P + 1) // 2
-    flags = bytearray([1]) * half
-    flags[0] = 0
-    for i in range(1, (math.isqrt(P) + 1) // 2):
-        if flags[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            flags[start::p] = bytes((half - 1 - start) // p + 1)
-    return [2, *itertools.compress(range(1, P + 1, 2), flags)]
+
+
+def sieve_primes(P: int, lo: int = 0) -> list[int]:
+    """Primes p with lo < p <= P, in increasing order; refused above the
+    sieve cap."""
+    _check_sieve_bound(P)
+    return _odd_sieve(max(lo, 0), P)
+
+
+def _odd_sieve(lo: int, P: int) -> list[int]:
+    """Primes in (lo, P] by Eratosthenes over the odd numbers there, crossed
+    off by the odd primes up to isqrt(P), which are sieved the same way."""
+    two = [2] if lo < 2 <= P else []
+    first = (lo + 1) | 1
+    if P < first:
+        return two
+    # flags[i] stands for the odd number first + 2i
+    size = (P - first) // 2 + 1
+    flags = bytearray([1]) * size
+    if first == 1:
+        flags[0] = 0
+    for p in _odd_sieve(2, math.isqrt(P)):
+        # the first odd multiple of p from max(p^2, first) on
+        m = max(p * p, first)
+        m += (p - m) % (2 * p)
+        i = (m - first) // 2
+        flags[i::p] = bytes(len(range(i, size, p)))
+    return [*two, *itertools.compress(range(first, P + 1, 2), flags)]
+
+
+# A window holds _WINDOW odd numbers while sqrt(P) <= 1024, and 32 per unit
+# of sqrt(P) beyond, so that crossing off the pi(sqrt(P)) base primes stays
+# a small share of each window's work.
+_WINDOW = 2 ** 15
+
+
+def _prime_windows(P: int):
+    """The primes <= P in increasing order, one list per window of odd
+    numbers, each sieved when it is reached, so one window is held at a
+    time; refused above the sieve cap before any window is sieved."""
+    _check_sieve_bound(P)
+    width = 2 * (_WINDOW * max(1024, math.isqrt(P)) >> 10)
+    return (sieve_primes(min(lo + width, P), lo)
+            for lo in range(0, P, width))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +335,8 @@ def den_matrix(n: int, k: int, P: int = 10 ** 5,
         raise BadParams("need k >= 2")
     if n == 2:
         return den_Zn(k, 2, eps)
+    if P < 2:
+        raise BadParams("prime bound must be >= 2")
     value, err, ops, rel = _den_matrix3(k, P, eps)
     return _certified(value, err, ops, P, EULER_TRUNCATION, rel)
 
@@ -398,7 +431,7 @@ def _den_matrix3(k: int, P: int, eps: float):
     phi = phi_poly(k)
     exp = 3 * k - 2
     pairs, ops = _inverse_zetas((2 * k - 2, k), eps)
-    primes = sieve_primes(P)
+    windows = _prime_windows(P)
     # |phi_k(p)| / p^(3k-2) <= C p^-e with C = sum |coeffs|, e = 3k-2-deg
     C = sum(abs(c) for c in phi)
     e = exp - poly_degree(phi)
@@ -406,23 +439,43 @@ def _den_matrix3(k: int, P: int, eps: float):
     if C * Decimal(P) ** (-e) > Decimal("0.5"):
         raise BadParams(f"prime bound {P} too small to certify the tail")
     # the head: C p^-e > 2^-20; skipped after the cut: C p^-e < 2^-1100
-    head = bisect.bisect_right(primes, ffalg._iroot((C << _HEAD_LOG2) - 1, e))
-    cut = bisect.bisect_right(primes, ffalg._iroot(C << _ZERO_LOG2, e), head)
+    head_bound = ffalg._iroot((C << _HEAD_LOG2) - 1, e)
+    cut = ffalg._iroot(C << _ZERO_LOG2, e)
+    head: list[int] = []
+    Q, count = None, 0  # the first float-tail prime, and their number
+
+    def float_tail():
+        """Each window's primes between the head and the cut, one window
+        held at a time; the head primes are set aside."""
+        nonlocal Q, count
+        for primes in windows:
+            i = bisect.bisect_right(primes, head_bound)
+            j = bisect.bisect_right(primes, cut, i)
+            head.extend(primes[:i])
+            if Q is None and i < len(primes):
+                Q = primes[i]
+            count += len(primes) - i
+            yield itertools.islice(primes, i, j)
+            if j < len(primes):
+                return
+            del primes  # not held while the next window is sieved
+
+    # one fsum over every window, so S is rounded once
+    S = _log_series_sum([float(c) for c in phi] + [0.0] * e,
+                        itertools.chain.from_iterable(float_tail()))
+    count += sum(map(len, windows))  # the primes past the cut
     prod = Decimal(1)
-    for p in primes[:head]:
+    for p in head:
         pk = p ** exp
         prod *= Decimal(pk + poly_eval(phi, p)) / Decimal(pk)
-    S = _log_series_sum([float(c) for c in phi] + [0.0] * e,
-                        itertools.islice(primes, head, cut))
     prod *= Decimal(S).exp()
-    rel = (_log_tail_error(S, C, e, exp, primes[head], len(primes) - head)
-           if head < len(primes) else Fraction(0))
+    rel = _log_tail_error(S, C, e, exp, Q, count) if count else Fraction(0)
     tail_log = 2 * C * Decimal(P) ** (1 - e) / (e - 1)
     pairs.append((prod, prod * (tail_log.exp() - 1)))
     value, err = _product_with_errors(pairs)
     # a division and a product per head prime, exp(S) and its product, the
     # tail's power and 5 more
-    ops += 2 * head + 2 + _FACTOR_OPS + _power_ops(1 - e) + 5
+    ops += 2 * len(head) + 2 + _FACTOR_OPS + _power_ops(1 - e) + 5
     return value, err, ops, rel
 
 
@@ -434,9 +487,10 @@ def euler_product(spec: EulerProductSpec) -> DensityValue:
     (0, 1]; the discarded tail then satisfies
     prod_{p > P} f(p) in [exp(-T), 1] with T = 2 C P^(1-e) / (e-1).
     """
-    primes = sieve_primes(spec.prime_bound)
+    primes = itertools.chain.from_iterable(_prime_windows(spec.prime_bound))
     value = Decimal(1)
-    for p in primes:
+    count = 0
+    for count, p in enumerate(primes, 1):
         f = spec.local_factor(p)
         if isinstance(f, Fraction):
             fd = Decimal(f.numerator) / Decimal(f.denominator)
@@ -454,5 +508,5 @@ def euler_product(spec: EulerProductSpec) -> DensityValue:
     err = value * (1 - (-tail_log).exp())
     # a division and a product per prime; 8 for the tail (its power, which
     # the decimal module rounds within one unit, counts twice)
-    return _certified(value, err, 2 * len(primes) + 8,
+    return _certified(value, err, 2 * count + 8,
                       spec.prime_bound, EULER_TRUNCATION)

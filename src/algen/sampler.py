@@ -178,6 +178,8 @@ def _normalize_system(polys):
         system.append(tuple(t for t in terms if t[1]))
     if not system:
         raise BadParams("need at least one polynomial")
+    if nvars == 0:
+        raise BadParams("need at least one variable")
     return system, nvars
 
 

@@ -214,6 +214,10 @@ def test_exit_codes(capsys):
         assert time.perf_counter() - t0 < 1, argv
     code, _ = run_cli(capsys, "exhaustive", "--polys", "not json", "--N", "2")
     assert code == 2
+    for P in ("-5", "0", "1"):  # no primes to sieve
+        code, out = run_cli(capsys, "density", "--kind", "matrix", "--n", "3",
+                            "--k", "2", "--P", P)
+        assert code == 2 and out == "", P
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2

@@ -1,9 +1,11 @@
+import bisect
 import functools
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -197,25 +199,51 @@ def _den_matrix3_all_decimal(k, P, eps=density.PRODUCT_EPS):
     return value, err, 2 * len(primes) + 100
 
 
-def test_den_matrix3_against_all_decimal_oracle():
-    for k in (2, 3, 4, 5, 10):
-        for P in (2, 97, 101, 997, 1009, 10 ** 4, 10 ** 5):
-            try:
-                want, want_err, oracle_ops = _den_matrix3_all_decimal(k, P)
-            except BadParams:  # C 2^-e > 1/2 at k = 3, P = 2
-                with pytest.raises(BadParams):
-                    den_matrix(3, k, P)
-                continue
-            value, err, ops, rel = density._den_matrix3(k, P, 1e-10)
-            rho = density._rounding_allowance(ops, rel)
-            # both within their allowance of the exact product of the same
-            # zeta factors; the oracle's 60-digit rounding is 2 N 5e-60
-            rho60 = Fraction(2 * oracle_ops * 5, 10 ** 60)
-            assert abs(Fraction(value) - Fraction(want)) <= (
-                (rho + rho60) * abs(Fraction(value)) * (1 + 2 * rho)), (k, P)
-            d = den_matrix(3, k, P)
-            assert d.value == float(want), (k, P)
-            assert d.abs_error_bound == float(want_err) + 1e-15, (k, P)
+def test_den_matrix3_against_all_decimal_oracle(monkeypatch):
+    # the default windows, 3 * 10^5 spanning five of them, and windows of
+    # one odd number each, so that the last head prime and the first tail
+    # prime Q always lie in different windows
+    runs = ((density._WINDOW, (2, 97, 101, 997, 1009, 10 ** 4, 10 ** 5,
+                               3 * 10 ** 5)),
+            (1, (97, 1009, 10 ** 4)))
+    for window, bounds in runs:
+        monkeypatch.setattr(density, "_WINDOW", window)
+        for k in (2, 3, 4, 5, 10):
+            for P in bounds:
+                try:
+                    want, want_err, oracle_ops = _den_matrix3_all_decimal(k, P)
+                except BadParams:  # C 2^-e > 1/2 at k = 3, P = 2
+                    with pytest.raises(BadParams):
+                        den_matrix(3, k, P)
+                    continue
+                value, err, ops, rel = density._den_matrix3(k, P, 1e-10)
+                rho = density._rounding_allowance(ops, rel)
+                # both within their allowance of the exact product of the
+                # same zeta factors; the oracle's 60-digit rounding is
+                # 2 N 5e-60
+                rho60 = Fraction(2 * oracle_ops * 5, 10 ** 60)
+                assert abs(Fraction(value) - Fraction(want)) <= (
+                    (rho + rho60) * abs(Fraction(value)) * (1 + 2 * rho)), (
+                    window, k, P)
+                d = den_matrix(3, k, P)
+                assert d.value == float(want), (window, k, P)
+                assert d.abs_error_bound == float(want_err) + 1e-15, (
+                    window, k, P)
+
+
+def test_products_hold_one_window_of_primes():
+    # the whole list of primes up to 10^6 alone takes about 3.5 MiB
+    ones = EulerProductSpec(lambda p: Fraction(1), 10 ** 6, 2.0, 0.0)
+    den_matrix(3, 2, 10 ** 3)  # caches filled outside the measurement
+    for run in (lambda: den_matrix(3, 2, 10 ** 6),
+                lambda: euler_product(ones)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
 
 
 def test_den_matrix3_large_k_visits_few_primes(monkeypatch):
@@ -264,15 +292,39 @@ def test_sieve():
         sieve_primes(10 ** 8 + 1)
 
 
-def test_sieve_against_trial_division():
+def _windowed(P):
+    windows = list(density._prime_windows(P))
+    assert all(type(w) is list for w in windows), P
+    return [p for w in windows for p in w]
+
+
+def test_sieve_against_trial_division(monkeypatch):
     oracle = [n for n in range(2, 2001)
               if all(n % d for d in range(2, math.isqrt(n) + 1))]
     for P in range(2001):
+        want = [p for p in oracle if p <= P]
         got = sieve_primes(P)
-        assert got == [p for p in oracle if p <= P], P
+        assert got == want, P
         assert type(got) is list
+        # every window of up to six integers that ends at P
+        for lo in range(max(P - 6, 0), P):
+            assert sieve_primes(P, lo) == want[bisect.bisect(want, lo):], (
+                P, lo)
     assert all(type(p) is int for p in sieve_primes(2000))
+    # windows of three odd numbers, six integers each
+    monkeypatch.setattr(density, "_WINDOW", 3)
+    for P in (*range(50), 997, 1000, 2000):
+        assert _windowed(P) == [p for p in oracle if p <= P], P
+    assert all(type(p) is int for p in _windowed(2000))
+    monkeypatch.undo()
     assert len(sieve_primes(10 ** 6)) == 78498
+    # across the edges of the default windows, 2^16 integers each below 2^20
+    sympy = pytest.importorskip("sympy")
+    for P in (2 ** 16 - 1, 2 ** 16 + 1, 2 ** 17 - 1, 2 ** 17 + 1, 10 ** 6,
+              3 * 10 ** 6):
+        got = _windowed(P)
+        assert len(got) == sympy.primepi(P), P
+        assert got == sorted(set(got)) and got[-1] == sympy.prevprime(P + 1)
 
 
 def test_den_Zn():

@@ -172,6 +172,8 @@ def test_poly_validation():
         exhaustive_poly_density([{(1, 0): 1, (0, 1, 1): 1}], 2)
     with pytest.raises(BadParams):
         exhaustive_poly_density([], 2)
+    with pytest.raises(BadParams):  # a constant in zero variables
+        exhaustive_poly_density([{(): 1}], 3)
 
 
 def test_uniform_rejects_ranges_beyond_64_bits():
