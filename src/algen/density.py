@@ -20,10 +20,9 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from typing import Callable
 
 from . import ffalg
 from .errors import BadParams, DivergentTail
@@ -38,34 +37,31 @@ ZETA_EPS = 1e-9      # default accuracy of a zeta value on its own
 PRODUCT_EPS = 1e-10  # default accuracy of the zeta factors of a density
 
 
-@dataclass(frozen=True)
-class DensityValue:
-    value: float
-    abs_error_bound: float
-    P: int | None          # prime truncation bound; None for exact-zeta routes
-    method: str
+# P is the prime truncation bound, None for exact-zeta routes
+DensityValue = namedtuple("DensityValue", "value abs_error_bound P method")
 
 
-@dataclass(frozen=True)
-class EulerProductSpec:
-    """A truncated product over primes p <= prime_bound of local_factor(p).
+class EulerProductSpec(namedtuple("EulerProductSpec", "local_factor "
+                                  "prime_bound tail_exponent tail_constant")):
+    """A truncated product over primes p <= prime_bound of local_factor(p),
+    a Fraction or a float.
 
     Factors must lie in (0, 1] and satisfy |1 - factor(p)| <= C p^-e with
     e = tail_exponent > 1 and C = tail_constant, which certifies the tail.
     """
 
-    local_factor: Callable[[int], Fraction | float]
-    prime_bound: int
-    tail_exponent: float
-    tail_constant: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prime_bound < 2:
+    def __new__(cls, local_factor, prime_bound: int, tail_exponent: float,
+                tail_constant: float):
+        if prime_bound < 2:
             raise BadParams("prime bound must be >= 2")
-        if self.tail_exponent <= 1:
+        if tail_exponent <= 1:
             raise DivergentTail("tail exponent must exceed 1")
-        if self.tail_constant < 0:
+        if tail_constant < 0:
             raise BadParams("tail constant must be >= 0")
+        return super().__new__(cls, local_factor, prime_bound, tail_exponent,
+                               tail_constant)
 
 
 def _at_working_precision(fn):

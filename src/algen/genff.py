@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -55,8 +54,7 @@ def check_enum(base: int, exponent: int, what: str) -> None:
 # Shapes and tuples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlgebraShape:
+class AlgebraShape(namedtuple("AlgebraShape", "blocks ctx")):
     """A finite product prod M_{n_i}(F_{q^{s_i}})^{m_i} (or over Z when ctx is None).
 
     blocks: tuple of (n_i, s_i, m_i).  Z-side shapes fix s_i = 1 and carry
@@ -65,25 +63,26 @@ class AlgebraShape:
     isomorphic factors break the product-generation criterion.
     """
 
-    blocks: tuple[tuple[int, int, int], ...]
-    ctx: FieldCtx | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __new__(cls, blocks: tuple[tuple[int, int, int], ...],
+                ctx: FieldCtx | None = None):
+        if not blocks:
             raise ShapeMismatch("shape needs at least one block")
         seen = set()
-        for n, s, m in self.blocks:
+        for n, s, m in blocks:
             if n < 1 or s < 1 or m < 1:
                 raise ShapeMismatch(f"bad block ({n}, {s}, {m})")
             if (n, s) in seen:
                 raise ShapeMismatch(
                     f"duplicate block type ({n}, {s}); merge multiplicities")
             seen.add((n, s))
-            if self.ctx is None and s != 1:
+            if ctx is None and s != 1:
                 raise ShapeMismatch("Z-side shapes require s = 1 in every block")
-            if s > 1 and self.ctx is not None and self.ctx.s > 1:
+            if s > 1 and ctx is not None and ctx.s > 1:
                 raise UnsupportedSize(
                     "extension blocks are only supported over a prime base field")
+        return super().__new__(cls, blocks, ctx)
 
     @property
     def rank(self) -> int:
@@ -355,23 +354,14 @@ def _f2_invariant_masks(n: int):
     lines[c] has bit v set for each nonzero v in F_2^n (an n-bit int)
     with c v in {0, v}: the line through v is invariant.  hyperplanes[c]
     is the same mask for the transpose of c; its invariant lines are the
-    normals of the hyperplanes that c maps into themselves.
+    normals of the hyperplanes that c maps into themselves.  The transpose
+    of c sends v to xmaps[c][v], so hyperplanes[c] is read from xmaps, and
+    lines[c] is hyperplanes[] at the transpose of c.
     """
-    rows, _xmaps = _f2_tables(n)
-    nn = n * n
-    lines = []
-    for r in rows:
-        mask = 0
-        for v in range(1, 1 << n):
-            w = 0
-            for i in range(n):
-                w |= ((r[i] & v).bit_count() & 1) << i
-            if w == 0 or w == v:
-                mask |= 1 << v
-        lines.append(mask)
-    transpose = [sum(1 << (i % n * n + i // n) for i in range(nn) if c >> i & 1)
-                 for c in range(1 << nn)]
-    return tuple(lines), tuple(lines[t] for t in transpose)
+    hyper = tuple(sum(1 << v for v in range(1, 1 << n) if xm[v] in (0, v))
+                  for xm in _f2_tables(n)[1])
+    transpose = _f2_code_map(n, [i % n * n + i // n for i in range(n * n)])
+    return tuple(hyper[t] for t in transpose), hyper
 
 
 def _f2_generates(n: int, codes) -> bool:
@@ -485,24 +475,31 @@ def _f2_span_generates(D: int, seed: int, gens, key=None) -> bool:
     return rank == D
 
 
+def _f2_code_map(n: int, dest) -> tuple[int, ...]:
+    """The image of every n x n code when bit i moves to bit dest[i]: the
+    OR of one 2^n-entry lookup per row of the code, each lookup built by
+    doubling over the row's n destination bits."""
+    tab = [0]
+    for r in range(0, n * n, n):
+        row = [0]
+        for d in dest[r:r + n]:
+            row += [x | 1 << d for x in row]
+        tab = [x | y for y in row for x in tab]
+    return tuple(tab)
+
+
 @lru_cache(maxsize=4)
 def _f2_symmetries(n: int) -> tuple[tuple[int, ...], ...]:
     """Code permutation tables of the 2 * n! symmetries of the {0,1}
     matrices that preserve generation over any ring: conjugation by a
     permutation matrix (an automorphism), alone or followed by
-    transposition (an anti-automorphism).
+    transposition (an anti-automorphism).  Each is a _f2_code_map.
     """
-    nn = n * n
+    flip = [i % n * n + i // n for i in range(n * n)]
     tables = []
-    for perm in itertools.permutations(range(n)):
-        for transpose in (False, True):
-            dest = []
-            for i in range(nn):
-                r, c = perm[i // n], perm[i % n]
-                dest.append(c * n + r if transpose else r * n + c)
-            tables.append(tuple(
-                sum(1 << dest[i] for i in range(nn) if code >> i & 1)
-                for code in range(1 << nn)))
+    for p in itertools.permutations(range(n)):
+        dest = [p[i // n] * n + p[i % n] for i in range(n * n)]
+        tables += [_f2_code_map(n, dest), _f2_code_map(n, [flip[d] for d in dest])]
     return tuple(tables)
 
 
@@ -513,17 +510,25 @@ def f2_pair_classes(n: int, lo: int, hi: int):
     (a, b) is the lexicographically least sorted image of the orbit and
     size the number of its distinct images: the group order divided by
     the number of tables that fix the pair.  The least image starts with
-    a code that is least in its own orbit, so only such codes are tried
-    as a.
+    a code that is least in its own orbit (omin[a] == a, omin[c] the least
+    image of c), so only such codes are tried as a, and only up to
+    omin[b]: a table that sends b below a rules a out.  Below omin[b], b
+    is outside the orbit of a, and only the tables that fix a (its
+    stabiliser) can map the pair to one starting with a, so only they
+    are tried; at a == omin[b] every table is.
     """
     tables = _f2_symmetries(n)
-    least = [c for c in range(1 << (n * n)) if all(t[c] >= c for t in tables)]
+    order = len(tables)
+    omin = list(map(min, *tables))
+    least = [(a, [t for t in tables if t[a] == a])
+             for a, m in enumerate(omin) if m == a]
     for b in range(lo, hi):
-        for a in least:
-            if a >= b:
+        mb = omin[b]
+        for a, stab_a in least:
+            if a >= b or a > mb:
                 break
             stab = 0
-            for t in tables:
+            for t in stab_a if a < mb else tables:
                 x, y = t[a], t[b]
                 if x > y:
                     x, y = y, x
@@ -531,7 +536,7 @@ def f2_pair_classes(n: int, lo: int, hi: int):
                     break
                 stab += x == a and y == b
             else:
-                yield a, b, len(tables) // stab
+                yield a, b, order // stab
 
 
 # ---------------------------------------------------------------------------

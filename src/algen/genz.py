@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import sub
 
 from . import ffalg, genff
@@ -116,12 +116,11 @@ class _ZEchelon:
         return tuple(tuple(r) for r in basis)
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Canonical HNF basis of a submodule of Z^D."""
+class Lattice(namedtuple("Lattice", "D basis")):
+    """Canonical HNF basis of a submodule of Z^D: D an int, basis a tuple
+    of int tuples."""
 
-    D: int
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -198,11 +197,8 @@ def closure_lattice(shape: AlgebraShape, t) -> Lattice:
     return Lattice(shape.rank, ech.canonical_basis())
 
 
-@dataclass(frozen=True)
-class ZGenReport:
-    generates: bool
-    index: int                     # 0 means rank-deficient
-    bad_primes: tuple[int, ...]    # primes where generation fails; sorted
+# index 0 means rank-deficient; bad_primes, sorted, are where generation fails
+ZGenReport = namedtuple("ZGenReport", "generates index bad_primes")
 
 
 def generates_Z(shape: AlgebraShape, t) -> ZGenReport:
@@ -348,7 +344,8 @@ def construct_M2Z16():
 
 def _census_shard(args) -> tuple[int, int]:
     n, lo, hi = args
-    mats = [_code_to_zmat(n, c) for c in range(1 << (n * n))]
+    # a < b < hi in every representative of the shard
+    mats = [_code_to_zmat(n, c) for c in range(hi)]
     gen = 0
     fail = 0
     for a, b, size in genff.f2_pair_classes(n, lo, hi):

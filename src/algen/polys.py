@@ -9,7 +9,7 @@ being checked, and a failure raises instead of truncating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BadParams, DivisionInexact
 from . import ffalg, genff
@@ -176,17 +176,16 @@ def psi_poly(k: int) -> IntPoly:
 # Minimal generator counts for M_n(Z)^m
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinGenReport:
-    n: int
-    m: int
-    r: int        # minimal number of generators of M_n(Z)^m
-    lower: int    # copies reachable with r - 1 generators
-    upper: int    # copies reachable with r generators
+class MinGenReport(namedtuple("MinGenReport", "n m r lower upper")):
+    """r generators are the fewest for M_n(Z)^m; lower and upper are the
+    copies reachable with r - 1 and with r generators."""
 
-    def __post_init__(self):
-        assert self.lower < self.m <= self.upper
-        assert self.r >= 2
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int, r: int, lower: int, upper: int):
+        assert lower < m <= upper
+        assert r >= 2
+        return super().__new__(cls, n, m, r, lower, upper)
 
 
 def min_generators(n: int, m: int) -> MinGenReport:

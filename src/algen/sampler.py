@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from operator import countOf, not_
 
@@ -72,31 +71,30 @@ def substream(seed: int, index: int) -> SplitMix64:
     return SplitMix64(SplitMix64(z - _GOLDEN).next64())
 
 
-@dataclass(frozen=True)
-class BoxModel:
+class BoxModel(namedtuple("BoxModel", "N seed samples")):
     """Cube [-N, N]^D sampling plan: half-width, seed, and sample count."""
 
-    N: int
-    seed: int
-    samples: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 0 or self.samples < 0:
+    def __new__(cls, N: int, seed: int, samples: int = 1):
+        if N < 0 or samples < 0:
             raise BadParams("half-width and sample count must be >= 0")
-        if self.N >= 1 << 63:
+        if N >= 1 << 63:
             raise BadParams("half-width must be below 2^63, so 2N+1 <= 2^64")
+        return super().__new__(cls, N, seed, samples)
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
-    hits: int
-    trials: int
-    estimate: Fraction
-    ci95_halfwidth: float
+class DensityEstimate(namedtuple("DensityEstimate",
+                                 "hits trials estimate ci95_halfwidth")):
+    """estimate = Fraction(hits, trials), with a 95% interval half-width."""
 
-    def __post_init__(self):
-        assert 0 <= self.hits <= self.trials
-        assert self.estimate == Fraction(self.hits, self.trials)
+    __slots__ = ()
+
+    def __new__(cls, hits: int, trials: int, estimate: Fraction,
+                ci95_halfwidth: float):
+        assert 0 <= hits <= trials
+        assert estimate == Fraction(hits, trials)
+        return super().__new__(cls, hits, trials, estimate, ci95_halfwidth)
 
 
 def sample_tuple(shape: AlgebraShape, k: int, box: BoxModel, index: int = 0):

@@ -587,6 +587,56 @@ def test_commands_run_with_numpy_blocked():
     assert res.stdout.count("\n") == 3
 
 
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # the records are namedtuples, so the CLI's import stays light; -S
+    # keeps site from importing typing itself
+    src = os.path.dirname(os.path.dirname(algen.__file__))
+    res = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys\n"
+         "import algen.cli\n"
+         "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=20)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_records_check_their_fields_and_are_read_only():
+    from fractions import Fraction
+
+    from algen import density, genz, polys, sampler
+    from algen.errors import BadParams, DivergentTail, ShapeMismatch
+
+    with pytest.raises(BadParams, match=r"^half-width and sample count must be >= 0$"):
+        sampler.BoxModel(-1, 0)
+    with pytest.raises(ShapeMismatch, match=r"^shape needs at least one block$"):
+        genff.AlgebraShape(())
+    with pytest.raises(DivergentTail, match=r"^tail exponent must exceed 1$"):
+        density.EulerProductSpec(lambda p: 1, 10, 1.0, 0.0)
+    with pytest.raises(AssertionError):
+        sampler.DensityEstimate(3, 2, Fraction(3, 2), 0.0)
+    records = [
+        density.DensityValue(0.5, 1e-9, None, density.EXACT_ZETA),
+        density.EulerProductSpec(lambda p: 1, 10, 2.0, 0.0),
+        genff.shape_over_Z([(2, 1)]),
+        genz.hnf([[2, 1], [0, 3]]),
+        genz.generates_Z(genff.shape_over_Z([(2, 1)]), [((1, 0, 0, 0),)]),
+        polys.min_generators(2, 16),
+        sampler.BoxModel(5, 1),
+        sampler.DensityEstimate(1, 2, Fraction(1, 2), 0.5),
+    ]
+    for rec in records:
+        field = rec._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(rec, field, getattr(rec, field))
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+    assert records[2].rank == 4 and records[3].pivots() == (2, 3)
+    assert records[3].index == 6 and records[4].index == 0
+    assert records[5].r == 2 and records[6].samples == 1
+
+
 def _run_traced(code: str):
     """Run code in a fresh interpreter after installing the benchmark's
     tracer, t, on the algen under test; exit 0 is asserted."""

@@ -368,6 +368,31 @@ def _mask_closure(n):
         D, one, [tables[c] for c in codes])
 
 
+def _parity_invariant_masks(n):
+    """The masks of _f2_invariant_masks, c v found bit by bit as the
+    parity of each row of c against v."""
+    nn = n * n
+    lines = []
+    for code in range(1 << nn):
+        r = _code_matrix(n, code)
+        mask = 0
+        for v in range(1, 1 << n):
+            w = 0
+            for i in range(n):
+                w |= (sum(r[i * n + j] & v >> j for j in range(n)) & 1) << i
+            if w == 0 or w == v:
+                mask |= 1 << v
+        lines.append(mask)
+    transpose = [sum(1 << (i % n * n + i // n) for i in range(nn) if c >> i & 1)
+                 for c in range(1 << nn)]
+    return tuple(lines), tuple(lines[t] for t in transpose)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_invariant_masks_match_the_parity_loop(n):
+    assert genff._f2_invariant_masks(n) == _parity_invariant_masks(n)
+
+
 def test_invariant_line_tables_against_mask_closure_all_m3_pairs():
     # every unordered pair a < b and every diagonal pair (a, a)
     closure = _mask_closure(3)

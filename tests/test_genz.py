@@ -504,6 +504,66 @@ def _symmetric_images(n, a, b):
     return out
 
 
+def _bitwise_symmetries(n):
+    """The tables of _f2_symmetries, each image a sum over the code's bits."""
+    nn = n * n
+    tables = []
+    for perm in itertools.permutations(range(n)):
+        for transpose in (False, True):
+            dest = []
+            for i in range(nn):
+                r, c = perm[i // n], perm[i % n]
+                dest.append(c * n + r if transpose else r * n + c)
+            tables.append(tuple(
+                sum(1 << dest[i] for i in range(nn) if code >> i & 1)
+                for code in range(1 << nn)))
+    return tuple(tables)
+
+
+def _all_table_pair_classes(n, lo, hi):
+    """f2_pair_classes by trying every table on every pair whose first
+    code is least in its orbit."""
+    tables = _bitwise_symmetries(n)
+    least = [c for c in range(1 << (n * n)) if all(t[c] >= c for t in tables)]
+    out = []
+    for b in range(lo, hi):
+        for a in least:
+            if a >= b:
+                break
+            stab = 0
+            for t in tables:
+                x, y = t[a], t[b]
+                if x > y:
+                    x, y = y, x
+                if x < a or (x == a and y < b):
+                    break
+                stab += x == a and y == b
+            else:
+                out.append((a, b, len(tables) // stab))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_symmetry_tables_match_the_bitwise_build(n):
+    assert genff._f2_symmetries(n) == _bitwise_symmetries(n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_classes_match_the_all_table_scan(n):
+    q = 1 << (n * n)
+    full = list(genff.f2_pair_classes(n, 0, q))
+    assert full == _all_table_pair_classes(n, 0, q)
+    # uneven splits, each cut s inside the orbit of s: a smaller image of
+    # s lies before the cut
+    tables = _bitwise_symmetries(n)
+    cuts = [s for s in range(1, q) if min(t[s] for t in tables) < s]
+    for a, b in ((cuts[0], cuts[-1]), (cuts[1], cuts[2]), (cuts[-3], cuts[-2])):
+        parts = [list(genff.f2_pair_classes(n, lo, hi))
+                 for lo, hi in ((0, a), (a, b), (b, q))]
+        assert parts[1] == _all_table_pair_classes(n, a, b), (a, b)
+        assert parts[0] + parts[1] + parts[2] == full, (a, b)
+
+
 def test_pair_class_weights_cover_all_pairs():
     for n in (2, 3):
         q = 1 << (n * n)
