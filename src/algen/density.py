@@ -25,7 +25,7 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from . import ffalg
-from .errors import BadParams, DivergentTail
+from .errors import BadParams, DivergentTail, TooLarge
 from .polys import phi_poly, poly_degree, poly_eval
 
 _DECIMAL = Context(prec=30)
@@ -35,6 +35,9 @@ EXACT_ZETA = "exact-zeta"
 EULER_TRUNCATION = "euler-truncation"
 ZETA_EPS = 1e-9      # default accuracy of a zeta value on its own
 PRODUCT_EPS = 1e-10  # default accuracy of the zeta factors of a density
+# den_matrix(3, k) holds the 2k - 1 coefficients of phi_k as a dense list
+# (k = 10^6 takes about 0.4 s, 10^7 about 4 s)
+MAX_PHI_K = 10 ** 6
 
 
 # P is the prime truncation bound, None for exact-zeta routes
@@ -331,6 +334,8 @@ def den_matrix(n: int, k: int, P: int = 10 ** 5,
         raise BadParams("need k >= 2")
     if n == 2:
         return den_Zn(k, 2, eps)
+    if k > MAX_PHI_K:
+        raise TooLarge(f"k = {k} above {MAX_PHI_K}: phi_k would be too long")
     if P < 2:
         raise BadParams("prime bound must be >= 2")
     value, err, ops, rel = _den_matrix3(k, P, eps)

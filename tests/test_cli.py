@@ -223,6 +223,8 @@ def test_exit_codes(capsys):
                  ("count", "--k", "1", "--n", "2", "--q", "2", "--s", "7", "--brute"),
                  # Monte Carlo caps n as counts do
                  ("mc", "--n", "9", "--k", "2", "--N", "5", "--samples", "1"),
+                 # phi_k would hold 2 * 10^9 - 1 coefficients (MAX_PHI_K)
+                 ("density", "--kind", "matrix", "--n", "3", "--k", "1000000000"),
                  ("exhaustive", "--polys", monomial, "--N", "1000000")):
         t0 = time.perf_counter()
         code, out = run_cli(capsys, *argv)
@@ -604,14 +606,16 @@ def test_commands_run_with_numpy_blocked():
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
-    # the records are namedtuples, so the CLI's import stays light; -S
-    # keeps site from importing typing itself
+    # the records are namedtuples and the sampler packs its lanes through
+    # memoryview, so the CLI's import stays light; -S keeps site from
+    # importing typing itself
     src = os.path.dirname(os.path.dirname(algen.__file__))
     res = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys\n"
          "import algen.cli\n"
-         "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"],
+         "print(sorted({'array', 'dataclasses', 'inspect', 'typing'}"
+         " & set(sys.modules)))"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=20)
     assert res.returncode == 0, res.stderr

@@ -14,6 +14,7 @@ from algen import genff, genz, sampler
 from algen.errors import BadParams, TooLarge
 from algen.ffalg import make_field
 from algen.genff import shape_over_Z
+from algen.polys import poly_eval
 from algen.sampler import (
     BoxModel,
     DensityEstimate,
@@ -21,6 +22,7 @@ from algen.sampler import (
     exhaustive_poly_density,
     mc_density,
     sample_tuple,
+    sample_tuples,
     substream,
 )
 
@@ -68,6 +70,95 @@ def test_splitmix_pinned_draws():
         ((2, -1, -1, -3), (-1, 1, -1, 2)),)
 
 
+_MASK = 2 ** 64 - 1
+
+
+def _scalar_draws(state, m, count):
+    """The reference generator, one SplitMix64 step at a time: count draws
+    from [0, m) by rejection, the final state and the number of steps."""
+    bound = 2 ** 64 - 2 ** 64 % m
+    out = []
+    steps = 0
+    while len(out) < count:
+        state = (state + sampler._GOLDEN) & _MASK
+        steps += 1
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z ^= z >> 31
+        if z < bound:
+            out.append(z % m)
+    return out, state, steps
+
+
+def _scalar_sample(shape, k, box, index):
+    """sample_tuple by the reference generator, and its steps past the
+    k * rank that every sample takes."""
+    z = (box.seed ^ (index + 1) * sampler._GOLDEN) & _MASK
+    (s,), _, _ = _scalar_draws((z - sampler._GOLDEN) & _MASK, 2 ** 64, 1)
+    count = k * shape.rank
+    vals, _, steps = _scalar_draws(s, 2 * box.N + 1, count)
+    it = iter(v - box.N for v in vals)
+    t = tuple(tuple(tuple(itertools.islice(it, n * n))
+                    for n in shape.slot_sizes()) for _ in range(k))
+    return t, steps - count
+
+
+@pytest.mark.parametrize("m", [1, 7, 401, 2 ** 62 + 3, 2 ** 63 + 1, 2 ** 64])
+def test_draws_match_the_scalar_generator(m):
+    # counts past _LANES are mixed in several rounds; the state ends just
+    # after the last accepted output
+    for state in (0, 7, _MASK):
+        for count in (0, 1, 5, sampler._LANES + 3):
+            rng = SplitMix64(state)
+            want, end, _ = _scalar_draws(state, m, count)
+            assert rng.draws(m, count) == want, (state, count)
+            assert rng.state == end, (state, count)
+
+
+@pytest.mark.parametrize("N", [0, 200, 2 ** 62, 2 ** 63 - 1])
+def test_sample_batches_match_per_index_samples(monkeypatch, N):
+    # a lane cap of 64 leaves 1 to 8 samples a batch, so the ranges start
+    # off a batch boundary and cross several; at N = 2^62 half of the
+    # outputs are rejected and samples top up their streams mid-batch
+    monkeypatch.setattr(sampler, "_LANES", 64)
+    topped = 0
+    for seed in (-3, 0, 2 ** 70 + 5):
+        for blocks in ([(3, 1)], [(2, 2)], [(2, 1), (3, 2)]):
+            shape = shape_over_Z(blocks)
+            for k in (1, 2, 3):
+                box = BoxModel(N, seed)
+                got = list(sample_tuples(shape, k, box, 5, 24))
+                assert got == [sample_tuple(shape, k, box, i)
+                               for i in range(5, 24)], (seed, blocks, k)
+                for i, t in enumerate(got, 5):
+                    want, extra = _scalar_sample(shape, k, box, i)
+                    assert t == want, (seed, blocks, k, i)
+                    topped += extra > 0
+    assert (topped > 0) == (N == 2 ** 62)
+
+
+def test_sample_batches_stay_within_the_lane_cap(monkeypatch):
+    # 2^10 lanes: 8 samples of 128 draws a batch, and one sample of 1280
+    # draws a batch where a sample alone is past the cap
+    lanes = []
+    mix = sampler._mix
+
+    def counted(z, n):
+        lanes.append(n)
+        return mix(z, n)
+
+    monkeypatch.setattr(sampler, "_mix", counted)
+    shape = shape_over_Z([(8, 1)])
+    box = BoxModel(2 ** 62, 3)
+    got = list(sample_tuples(shape, 2, box, 10, 80))
+    assert sampler._LANES == 2 ** 10 and max(lanes) == 8 * 128
+    assert got[:3] == [_scalar_sample(shape, 2, box, i)[0] for i in (10, 11, 12)]
+    lanes.clear()
+    assert len(list(sample_tuples(shape, 20, box, 0, 2))) == 2
+    assert max(lanes) == 20 * 64
+
+
 def test_sample_tuple_point_box():
     t = sample_tuple(SHAPE2, 2, BoxModel(0, 123))
     assert t == (((0, 0, 0, 0),), ((0, 0, 0, 0),))
@@ -104,6 +195,17 @@ def test_mc_density_threads_deterministic():
     assert a == b
     shape, k, box = SCREEN_SLICES[0]
     assert mc_density(shape, k, box, threads=2) == mc_density(shape, k, box)
+
+
+def test_mc_density_threads_with_shards_off_batch_boundaries():
+    # 56 samples of 18 draws a batch; 1003 samples make shards of 250 or
+    # 251 at threads=1 and of 125 or 126 at threads=2
+    shape = shape_over_Z([(3, 1)])
+    box = BoxModel(2 ** 62, -3, 1003)
+    hits = sum(genz.generates_Z_bool(shape, sample_tuple(shape, 2, box, i))
+               for i in range(box.samples))
+    assert mc_density(shape, 2, box).hits == hits
+    assert mc_density(shape, 2, box, threads=2) == mc_density(shape, 2, box)
 
 
 @pytest.mark.parametrize("shape, k, box", SCREEN_SLICES)
@@ -342,10 +444,23 @@ def test_row_values_direct_and_by_differences_agree():
             assert list(sampler._values(f, y0, count)) == want[:count], (f, y0, count)
 
 
+def test_short_row_values_by_sparse_terms():
+    # fewer points than D + 1: the nonzero terms, a power each, give the
+    # values poly_eval gives by Horner over every coefficient
+    f = [0] * 5001
+    f[0], f[17], f[4000], f[5000] = 2, -1, 7, 3
+    for y0, count in ((-3, 7), (0, 1), (-40, 80)):
+        assert (list(sampler._values(f, y0, count))
+                == [poly_eval(f, y) for y in range(y0, y0 + count)])
+
+
 def test_exhaustive_high_degree_on_a_small_box():
     # x^100000 on 7 points: the window |x| <= 1 takes 3 values by Horner,
     # where D rounds of differences over D + 1 values never finished
     t0 = time.perf_counter()
     assert exhaustive_poly_density([{(100000,): 1}], 3) == Fraction(2, 7)
     assert exhaustive_poly_density([{(1000,): 6, (0,): 3}], 3) == 0
+    # with c = 0 and two polynomials in the last variable every point
+    # takes a gcd: only x = +-1 is good
+    assert exhaustive_poly_density([{(100000,): 1}, {(3,): 2}], 3) == Fraction(2, 7)
     assert time.perf_counter() - t0 < 1.5
