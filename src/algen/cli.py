@@ -7,13 +7,23 @@ machine-checkable.
 
 Exit codes: 0 success, 2 validation error, 3 enumeration cap or
 factorization failure, 1 internal mismatch.
+
+The nine subcommands and their options are written once, in the table
+_SUBCOMMANDS.  main() reads a canonical argv straight from the table
+(_parse): the subcommand, then exact flags, each at most once, with
+values that convert and lie in their choices.  build_parser() builds the
+argparse tree of the same table, and every argv that _parse declines
+goes to it unchanged, so help, abbreviations, --opt=value, repeats and
+every error keep argparse's own text and exit code.  argparse is
+imported only then: a canonical command loads none of argparse,
+gettext and locale, which took about 3 ms of each short command.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 from . import density, ffalg, genff, genz, polys, sampler
 from .errors import (
     AlgenError,
@@ -315,92 +325,146 @@ def _cmd_poly(args, config: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The command line: one table, read directly or through argparse
+# ---------------------------------------------------------------------------
+
+# An option that must be given.
+_REQUIRED = object()
+
+# Per subcommand: its help, its handler and its options in help order.  An
+# option is (flag, type, default[, help]); type is int, float, None for
+# the text itself, or the tuple of allowed words.  A tuple of flags is an
+# exclusive group that stores the chosen flag's name into the dest
+# standing in the type's place.
+_SUBCOMMANDS = {
+    "count": ("count generating tuples over F_q", _cmd_count, (
+        ("--k", int, _REQUIRED), ("--n", int, _REQUIRED),
+        ("--q", int, _REQUIRED), ("--s", int, 1), ("--m", int, 1),
+        (("--brute", "--formula", "--verify"), "mode", "formula"),
+        ("--threads", int, 1))),
+    "density": ("density formulas with error bounds", _cmd_density, (
+        ("--kind", ("zeta", "zn", "matrix"), _REQUIRED),
+        ("--s", int, 2, "zeta argument"), ("--k", int, 3), ("--n", int, 2),
+        ("--P", int, 10 ** 5),
+        ("--eps", float, None, "accuracy of each zeta value (default 1e-9 "
+                               "for zeta, 1e-10 for zn and matrix)"))),
+    "mc": ("Monte-Carlo density of generating tuples", _cmd_mc, (
+        ("--n", int, _REQUIRED), ("--m", int, 1), ("--k", int, _REQUIRED),
+        ("--N", int, _REQUIRED), ("--samples", int, _REQUIRED),
+        ("--seed", int, 42), ("--threads", int, 1))),
+    "exhaustive": ("exact box density of a polynomial system", _cmd_exhaustive, (
+        ("--polys", None, None, 'JSON list of {"e1,e2,...": coeff} maps'),
+        ("--polys-file", None, None), ("--N", int, _REQUIRED))),
+    "checkgen": ("certify a tuple generates over Z", _cmd_checkgen, (
+        ("--input", None, None, "tuple JSON file (default: stdin)"),)),
+    "construct": ("explicit generator constructions", _cmd_construct, (
+        ("--what", ("m2z16", "twogen"), _REQUIRED), ("--n", int, 2),
+        ("--q", int, 2), ("--s", int, 1))),
+    "census": ("{0,1} pair census for M_n", _cmd_census, (
+        ("--n", int, _REQUIRED), ("--threads", int, 1))),
+    "thresholds": ("minimal generators of M_n(Z)^m", _cmd_thresholds, (
+        ("--n", int, _REQUIRED), ("--m", int, _REQUIRED))),
+    "poly": ("the f/h/phi/psi polynomial families", _cmd_poly, (
+        ("--family", ("f", "h", "phi", "psi"), _REQUIRED),
+        ("--k", int, _REQUIRED), ("--eval", int, None),
+        ("--mod-p", int, None))),
+}
+
+
+def _parse(argv) -> dict | None:
+    """vars() of build_parser().parse_args(argv) for a canonical argv:
+    a subcommand, then each option at most once as its exact flag and a
+    value that converts and lies in its choices, every required option,
+    and at most one flag of a group.  A value may start with "-" only as
+    "-" and ASCII digits, which argparse reads as a negative number on
+    every Python >= 3.10.  Any other argv returns None and is left to
+    argparse, whose help, errors and exit codes stay its own."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, fn, options = _SUBCOMMANDS[argv[0]]
+    opts = {"subcommand": argv[0]}
+    flags, groups = {}, {}
+    for flag, kind, default, *_ in options:
+        if type(flag) is tuple:
+            opts[kind] = default
+            groups.update(dict.fromkeys(flag, (kind, flag)))
+        else:
+            dest = flag[2:].replace("-", "_")
+            opts[dest] = default
+            flags[flag] = dest, kind
+    opts["fn"] = fn
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag in seen:
+            return None
+        seen.add(flag)
+        if flag in groups:
+            dest, group = groups[flag]
+            if group in seen:
+                return None
+            seen.add(group)
+            opts[dest] = flag[2:]
+            continue
+        if flag not in flags:
+            return None
+        dest, kind = flags[flag]
+        value = next(tokens, None)
+        if value is None or value[:1] == "-" and not (
+                value[1:].isascii() and value[1:].isdigit()):
+            return None
+        if type(kind) is tuple:
+            if value not in kind:
+                return None
+        elif kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        opts[dest] = value
+    if _REQUIRED in opts.values():
+        return None
+    return opts
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of the same table: the reference for _parse, and
+    the parser of every argv that _parse declines."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="algen",
         description="Exact counting, certification, and densities for "
                     "generating tuples of matrix algebras.")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    c = sub.add_parser("count", help="count generating tuples over F_q")
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--q", type=int, required=True)
-    c.add_argument("--s", type=int, default=1)
-    c.add_argument("--m", type=int, default=1)
-    mode = c.add_mutually_exclusive_group()
-    mode.add_argument("--brute", dest="mode", action="store_const",
-                      const="brute", default="formula")
-    mode.add_argument("--formula", dest="mode", action="store_const",
-                      const="formula")
-    mode.add_argument("--verify", dest="mode", action="store_const",
-                      const="verify")
-    c.add_argument("--threads", type=int, default=1)
-    c.set_defaults(fn=_cmd_count)
-
-    d = sub.add_parser("density", help="density formulas with error bounds")
-    d.add_argument("--kind", choices=["zeta", "zn", "matrix"], required=True)
-    d.add_argument("--s", type=int, default=2, help="zeta argument")
-    d.add_argument("--k", type=int, default=3)
-    d.add_argument("--n", type=int, default=2)
-    d.add_argument("--P", type=int, default=10 ** 5)
-    d.add_argument("--eps", type=float,
-                   help="accuracy of each zeta value (default 1e-9 for zeta, "
-                        "1e-10 for zn and matrix)")
-    d.set_defaults(fn=_cmd_density)
-
-    m = sub.add_parser("mc", help="Monte-Carlo density of generating tuples")
-    m.add_argument("--n", type=int, required=True)
-    m.add_argument("--m", type=int, default=1)
-    m.add_argument("--k", type=int, required=True)
-    m.add_argument("--N", type=int, required=True)
-    m.add_argument("--samples", type=int, required=True)
-    m.add_argument("--seed", type=int, default=42)
-    m.add_argument("--threads", type=int, default=1)
-    m.set_defaults(fn=_cmd_mc)
-
-    e = sub.add_parser("exhaustive", help="exact box density of a polynomial system")
-    e.add_argument("--polys", help="JSON list of {\"e1,e2,...\": coeff} maps")
-    e.add_argument("--polys-file")
-    e.add_argument("--N", type=int, required=True)
-    e.set_defaults(fn=_cmd_exhaustive)
-
-    g = sub.add_parser("checkgen", help="certify a tuple generates over Z")
-    g.add_argument("--input", help="tuple JSON file (default: stdin)")
-    g.set_defaults(fn=_cmd_checkgen)
-
-    w = sub.add_parser("construct", help="explicit generator constructions")
-    w.add_argument("--what", choices=["m2z16", "twogen"], required=True)
-    w.add_argument("--n", type=int, default=2)
-    w.add_argument("--q", type=int, default=2)
-    w.add_argument("--s", type=int, default=1)
-    w.set_defaults(fn=_cmd_construct)
-
-    z = sub.add_parser("census", help="{0,1} pair census for M_n")
-    z.add_argument("--n", type=int, required=True)
-    z.add_argument("--threads", type=int, default=1)
-    z.set_defaults(fn=_cmd_census)
-
-    t = sub.add_parser("thresholds", help="minimal generators of M_n(Z)^m")
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--m", type=int, required=True)
-    t.set_defaults(fn=_cmd_thresholds)
-
-    p = sub.add_parser("poly", help="the f/h/phi/psi polynomial families")
-    p.add_argument("--family", choices=["f", "h", "phi", "psi"], required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eval", type=int)
-    p.add_argument("--mod-p", dest="mod_p", type=int)
-    p.set_defaults(fn=_cmd_poly)
-
+    for name, (help_, fn, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flag, kind, default, *text in options:
+            if type(flag) is tuple:
+                group = p.add_mutually_exclusive_group()
+                for f in flag:
+                    group.add_argument(f, dest=kind, action="store_const",
+                                       const=f[2:], default=default)
+                continue
+            choices = kind if type(kind) is tuple else None
+            required = default is _REQUIRED
+            p.add_argument(flag, type=None if choices else kind,
+                           choices=choices, required=required,
+                           default=None if required else default,
+                           help=text[0] if text else None)
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    opts = _parse(argv)
+    if opts is None:
+        opts = vars(build_parser().parse_args(argv))
+    args = SimpleNamespace(**opts)
     config = {key: _enc_int(v) if type(v) is int else v
-              for key, v in vars(args).items() if key != "fn"}
+              for key, v in opts.items() if key != "fn"}
     try:
         if getattr(args, "threads", 1) < 1:
             raise ValidationError("--threads must be >= 1")

@@ -280,10 +280,10 @@ class FieldCtx:
             e >>= 1
         return result
 
-    def elements_in_canonical_order(self):
+    def elements_in_canonical_order(self, start: int = 0):
         """All element codes sorted by coefficient vector, low degree first,
-        as a lazy iterator."""
-        return map(self.from_coeffs, _coefficient_vectors(self.p, self.s, 0))
+        from the start-th on, as a lazy iterator."""
+        return map(self.from_coeffs, _coefficient_vectors(self.p, self.s, start))
 
 
 def _coefficient_vectors(p: int, s: int, start: int):
@@ -318,6 +318,13 @@ def multiplicative_generator(ctx: FieldCtx) -> int:
     generator generates F_p*.  For odd p, candidates that fail this test,
     which takes a determinant and powers mod p, are skipped before the
     powers in F_q; F_2* is trivial, so for p = 2 it would skip nothing.
+
+    The first p candidates are the coset y F_p* of y = x^(s-1), and 0.  A
+    coset of F_p* holds a generator exactly when its image generates the
+    cyclic F_q*/F_p* of order M = (q-1)/(p-1), that is when
+    y^((q-1)/r) != 1 for every prime r | M.  Otherwise the block is
+    skipped whole: over F_{p^2} with modulus x^2 + 1 no c x generates,
+    and the scan took about 10 s at p = 10^6 + 3.
     """
     target = ctx.q - 1
     if target == 1:
@@ -325,7 +332,10 @@ def multiplicative_generator(ctx: FieldCtx) -> int:
     p = ctx.p
     factors = prime_factors(target)
     p_factors = prime_factors(p - 1)
-    for a in ctx.elements_in_canonical_order():
+    M = target // (p - 1)
+    y = ctx.q // p
+    hopeless = any(ctx.pow(y, target // r) == 1 for r in factors if M % r == 0)
+    for a in ctx.elements_in_canonical_order(p * hopeless):
         if a == 0:
             continue
         if p_factors:

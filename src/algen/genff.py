@@ -906,16 +906,38 @@ def count_gen_power_formula(k: int, n: int, q: int, s: int, m: int,
 # Constructions
 # ---------------------------------------------------------------------------
 
+# Largest field degree [F_{q^s} : F_p] and F_q-dimension n^2 s that
+# two_generators_ext accepts.  Over F_2, degree 64 takes about 1 s and
+# M_4(F_{2^64}), dimension 1024, about 4 s; degree 100 took 11 s and
+# dimension 3200 (M_8(F_{2^50})) 26 s.  Odd primes near degree 64 cost
+# the most: M_4(F_{7^48}) takes 12.5 s (README "Notes").
+MAX_TWOGEN_DEGREE = 64
+MAX_TWOGEN_DIM = 1024
+
+
 def two_generators_ext(n: int, q: int, s: int = 1):
     """The standard two-generator pair of M_n(F_{q^s}) as an F_q-algebra:
     (u E_11, E_1n + sum E_{i+1,i}) with u a multiplicative generator.
 
     Returns (ext_ctx, A, B); the pair is verified by the closure test
-    before returning.
+    before returning.  A field degree above MAX_TWOGEN_DEGREE, a
+    dimension above MAX_TWOGEN_DIM and an unfactored q^s - 1 are refused
+    before any field is built.
     """
     if n < 1:
         raise BadParams("n must be >= 1")
     p, e = ffalg.prime_power_split(q)
+    if e * s > MAX_TWOGEN_DEGREE:
+        raise TooLarge(f"F_{{q^s}} has degree {e * s} over F_{p}, above "
+                       f"{MAX_TWOGEN_DEGREE}")
+    if n * n * s > MAX_TWOGEN_DIM:
+        raise TooLarge(f"M_n(F_{{q^s}}) has dimension n^2 s = {n * n * s} "
+                       f"over F_q, above {MAX_TWOGEN_DIM}")
+    if e * s > 1 and 1 in (e, s):
+        # the generator search needs the primes of q^s - 1: an unfactored
+        # one is refused before the field is built, which took up to a
+        # minute (e > 1 with s > 1 is refused below as invalid)
+        ffalg.prime_factors(q ** s - 1)
     ext = make_field(p, e * s)
     shape = shape_over_field(make_field(p, e), [(n, s, 1)])
     u = ffalg.multiplicative_generator(ext)

@@ -283,11 +283,13 @@ def _in_last(terms, fixed) -> IntPoly:
 
 def _values(f: IntPoly, y0: int, count: int):
     """f(y0), ..., f(y0 + count - 1), for f of degree D >= 1: D nested
-    running sums of its constant D-th difference, or, when count <= D,
-    which the differences would not repay, each as a sum of its nonzero
-    terms, one power each."""
+    running sums of its constant D-th difference, or, when the differences
+    would not repay their D + 1 starting values, each as a sum of the
+    nonzero terms of f, one power each.  That is so when count <= D, and
+    on a sparse row, whose t nonzero terms cost t powers of about
+    bits(D) products each per point against D sums."""
     D = len(f) - 1
-    if count <= D:
+    if count <= D or (len(f) - f.count(0)) * D.bit_length() < D:
         terms = [(e, c) for e, c in enumerate(f) if c]
         return (sum(c * y ** e for e, c in terms)
                 for y in range(y0, y0 + count))

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 import json
@@ -8,8 +9,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import algen
+import refparser
 from algen import cli, ffalg, genff
 from algen.cli import main
 from algen.errors import TooLarge
@@ -225,7 +229,16 @@ def test_exit_codes(capsys):
                  ("mc", "--n", "9", "--k", "2", "--N", "5", "--samples", "1"),
                  # phi_k would hold 2 * 10^9 - 1 coefficients (MAX_PHI_K)
                  ("density", "--kind", "matrix", "--n", "3", "--k", "1000000000"),
-                 ("exhaustive", "--polys", monomial, "--N", "1000000")):
+                 ("exhaustive", "--polys", monomial, "--N", "1000000"),
+                 # M_8(F_{2^50}) closed in 26 s; F_{2^200} took 13-30 s to
+                 # build and F_{2^1000} longer (MAX_TWOGEN_DIM, _DEGREE)
+                 ("construct", "--what", "twogen", "--n", "8", "--q", "2", "--s", "50"),
+                 ("construct", "--what", "twogen", "--n", "8", "--q", "2", "--s", "100"),
+                 ("construct", "--what", "twogen", "--n", "8", "--q", "2", "--s", "200"),
+                 ("construct", "--what", "twogen", "--n", "2", "--q", "2", "--s", "1000"),
+                 # 5^64 - 1 is not factored: refused before F_{5^64} is
+                 # built, which ran past a minute
+                 ("construct", "--what", "twogen", "--n", "1", "--q", "5", "--s", "64")):
         t0 = time.perf_counter()
         code, out = run_cli(capsys, *argv)
         assert code == 3 and out == "", argv
@@ -479,6 +492,13 @@ def test_construct_twogen_over_a_huge_prime_field(capsys):
     assert doc["field"] == {"p": str(2 ** 61 - 1), "s": 1,
                             "q": str(2 ** 61 - 1), "modulus": None}
     assert doc["generators"][1] == {"n": 2, "entries": [0, 1, 1, 0]}
+    # over F_{p^2} the search skips the p candidates c x, where it ran
+    # for more than a minute
+    t0 = time.perf_counter()
+    doc = run_json(capsys, "construct", "--what", "twogen", "--n", "2",
+                   "--q", str(2 ** 61 - 1), "--s", "2")
+    assert time.perf_counter() - t0 < 2
+    assert doc["field"]["modulus"] == [1, 0, 1]
 
 
 def test_count_brute_power_from_orbit_sizes():
@@ -607,19 +627,170 @@ def test_commands_run_with_numpy_blocked():
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
     # the records are namedtuples and the sampler packs its lanes through
-    # memoryview, so the CLI's import stays light; -S keeps site from
-    # importing typing itself
+    # memoryview, so the CLI's import stays light; argparse, and gettext
+    # and locale with it, load only for an argv the direct parse declines;
+    # -S keeps site from importing typing itself
     src = os.path.dirname(os.path.dirname(algen.__file__))
+    argv = ["count", "--k", "2", "--n", "2", "--q", "2"]
     res = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys\n"
          "import algen.cli\n"
-         "print(sorted({'array', 'dataclasses', 'inspect', 'typing'}"
-         " & set(sys.modules)))"],
+         "def loaded():\n"
+         "    print(sorted({'argparse', 'array', 'dataclasses', 'gettext',"
+         " 'inspect', 'locale', 'typing'} & set(sys.modules)))\n"
+         "loaded()\n"
+         f"algen.cli.main({argv!r})\n"
+         "loaded()\n"
+         f"algen.cli.main({['count', '--k=2', *argv[3:]]!r})\n"
+         "loaded()\n"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=20)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "[]\n"
+    lines = res.stdout.splitlines()
+    assert lines[0] == lines[2] == "[]"
+    assert lines[4] == "['argparse', 'gettext', 'locale']"
+    assert lines[1] == lines[3] and json.loads(lines[1])["value"] == "96"
+
+
+def test_module_entry_point_parses_sys_argv():
+    # python -m algen.cli reads sys.argv[1:]: the canonical argv is parsed
+    # directly, --k=2 by argparse, with the same output
+    want = ('{"config": {"k": 2, "m": 1, "mode": "formula", "n": 2, "q": 2, '
+            '"s": 1, "subcommand": "count", "threads": 1}, '
+            '"method": "formula", "value": "96"}\n')
+    for k in (["--k", "2"], ["--k=2"]):
+        res = _run_subprocess("count", *k, "--n", "2", "--q", "2")
+        assert (res.returncode, res.stdout, res.stderr) == (0, want, ""), k
+
+
+def _subparsers(ap):
+    return ap._subparsers._group_actions[0].choices
+
+
+def test_table_parser_matches_the_reference_help():
+    # the argparse tree built from the option table prints the help of the
+    # hand-written tree it replaced, for algen and each subcommand
+    ref, table = refparser.build_parser(), cli.build_parser()
+    assert table.format_help() == ref.format_help()
+    assert list(_subparsers(table)) == list(_subparsers(ref)) == list(cli._SUBCOMMANDS)
+    for name, sub in _subparsers(ref).items():
+        assert _subparsers(table)[name].format_help() == sub.format_help(), name
+
+
+_ODD_VALUES = ["", " 7", "-3", "-1e5", "-.5", "-\u0663", "nan", "9" * 5000,
+               "bogus", "matrix", "twogen", "psi"]
+
+
+def _good_values(kind):
+    if type(kind) is tuple:
+        return list(kind)
+    return {int: ["2", "3", "0", "-1"], float: ["0.001", "1e-12"],
+            None: ['[{"1": 1}]', "t.json"]}[kind]
+
+
+@st.composite
+def _argvs(draw):
+    """Argvs near the table: a subcommand or another word, its options
+    with good or odd values, and then repeats, abbreviations, --flag=value
+    forms, help flags, "--", foreign flags and missing values."""
+    name = draw(st.sampled_from([*cli._SUBCOMMANDS, "nonsense", "--help"]))
+    options = cli._SUBCOMMANDS.get(name, cli._SUBCOMMANDS["count"])[2]
+    pairs = []
+    for flag, kind, default, *_ in options:
+        if type(flag) is tuple:
+            count = draw(st.sampled_from([0, 1, 1, 2]))
+            pairs += [[f] for f in draw(st.permutations(flag))[:count]]
+        elif draw(st.integers(0, 19)) < (19 if default is cli._REQUIRED else 6):
+            odd = draw(st.integers(0, 9)) == 0
+            pairs.append([flag, draw(st.sampled_from(
+                _ODD_VALUES if odd else _good_values(kind)))])
+    pairs = draw(st.permutations(pairs))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(pairs)))
+        how = draw(st.sampled_from(["repeat", "prefix", "equals", "token",
+                                    "foreign", "drop"]))
+        if how == "token":
+            pairs.insert(i, [draw(st.sampled_from(["-h", "--help", "--", "7"]))])
+        elif how == "foreign":
+            pairs.insert(i, [draw(st.sampled_from(["--kind", "--seed", "--what",
+                                                   "--family"])), "2"])
+        elif pairs and i < len(pairs):
+            pair = pairs[i]
+            if how == "repeat":
+                pairs.insert(i, list(pair))
+            elif how == "prefix" and len(pair[0]) > 3:
+                pair[0] = pair[0][:3]
+            elif how == "equals" and len(pair) == 2:
+                pairs[i] = ["=".join(pair)]
+            elif how == "drop":
+                pairs[i] = pair[:1]
+    return [name, *(tok for pair in pairs for tok in pair)]
+
+
+def _typed(opts):
+    # nan != nan and 1 == 1.0 == True: compare types and reprs; the
+    # handler is compared in main
+    return {key: (type(v), repr(v)) for key, v in opts.items() if key != "fn"}
+
+
+def _argparse_run(parser, argv):
+    """(exit code or None, stdout, stderr, typed vars or None)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            opts = _typed(vars(parser.parse_args(argv)))
+            code = None
+        except SystemExit as exc:
+            opts, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), opts
+
+
+def test_direct_parse_agrees_with_argparse(monkeypatch):
+    # the direct parse returns vars() of the reference parser's result or
+    # declines, and declines every argv the reference refuses; the tree
+    # built from the table parses, prints and exits as the reference does;
+    # main gives the handler the same config on either path
+    ref, table = refparser.build_parser(), cli.build_parser()
+    configs = []
+
+    def handler(args, config):
+        configs.append(json.dumps(config, sort_keys=True))
+        return 0
+
+    for name, (text, _fn, options) in cli._SUBCOMMANDS.items():
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (text, handler, options))
+    parse = cli._parse
+    seen = {"direct": 0, "declined": 0, "refused": 0}
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_argvs())
+    @example(["density", "--kind", "zeta", "--eps", "-1e5"])
+    @example(["density", "--kind", "zeta", "--eps", "-inf"])
+    @example(["density", "--kind", "zeta", "--eps", "-.5"])
+    @example(["exhaustive", "--N", "2", "--polys", "-h"])
+    @example(["poly", "--family", "f", "--k", "-\u0663"])
+    def check(argv):
+        want = _argparse_run(ref, argv)
+        assert _argparse_run(table, argv) == want, argv
+        code, _out, _err, opts = want
+        direct = parse(argv)
+        if direct is None:
+            seen["refused" if opts is None else "declined"] += 1
+            return
+        seen["direct"] += 1
+        assert opts is not None, argv
+        assert _typed(direct) == opts, argv
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stderr", io.StringIO())
+            configs.clear()
+            first = main(argv)
+            m.setattr(cli, "_parse", lambda argv: None)
+            assert main(argv) == first, argv
+        assert len(configs) in (0, 2) and configs[:1] == configs[1:], argv
+
+    check()
+    assert min(seen.values()) > 20, seen
 
 
 def test_records_check_their_fields_and_are_read_only():

@@ -204,6 +204,23 @@ def test_multiplicative_generator_large_quadratic_field():
     assert elapsed < 8
 
 
+@pytest.mark.parametrize("p", [1000003, 2 ** 61 - 1])
+def test_multiplicative_generator_skips_a_coset_without_generators(p):
+    # p = 3 mod 4, so the modulus is x^2 + 1 and x has order 4: each of the
+    # first p candidates c x has order dividing 4 (p - 1) < q - 1.  The
+    # search starts after them; the scan of the powers oracle from there
+    # finds the same element
+    ctx = make_field(p, 2)
+    assert ctx.modulus == (1, 0, 1) and ctx.pow(p, 4) == 1
+    t0 = time.perf_counter()
+    g = multiplicative_generator(ctx)
+    assert time.perf_counter() - t0 < 1
+    factors = ffalg.prime_factors(ctx.q - 1)
+    want = next(a for a in ctx.elements_in_canonical_order(p)
+                if all(ctx.pow(a, (ctx.q - 1) // r) != 1 for r in factors))
+    assert g == want and ctx.coeffs(g)[0] >= 1
+
+
 def _echelon_dim(ctx, vectors, width):
     ech = ffalg.FqEchelon(ctx, width)
     for v in vectors:

@@ -442,6 +442,17 @@ def test_row_values_direct_and_by_differences_agree():
         want = [sum(c * y ** i for i, c in enumerate(f)) for y in range(y0, y0 + 12)]
         for count in range(13):
             assert list(sampler._values(f, y0, count)) == want[:count], (f, y0, count)
+    # sparse rows, a few terms up to degree 3000, are evaluated one by one
+    # on every row; Horner over every coefficient checks a spread of points
+    for D in (40, 300, 3000):
+        f = [0] * (D + 1)
+        for e in {0, 1, D // 3, D}:
+            f[e] = rng.choice((-2, -1, 1, 3))
+        for y0, count in ((-D // 2, D + 2), (-3, 7)):
+            got = list(sampler._values(f, y0, count))
+            assert len(got) == count
+            for i in range(0, count, max(1, count // 40)):
+                assert got[i] == poly_eval(f, y0 + i), (D, y0, i)
 
 
 def test_short_row_values_by_sparse_terms():
@@ -463,4 +474,7 @@ def test_exhaustive_high_degree_on_a_small_box():
     # with c = 0 and two polynomials in the last variable every point
     # takes a gcd: only x = +-1 is good
     assert exhaustive_poly_density([{(100000,): 1}, {(3,): 2}], 3) == Fraction(2, 7)
+    # 3001 points of x^2000, a power each, where 2001 values and 2000
+    # rounds of differences took 8 s
+    assert exhaustive_poly_density([{(2000,): 1}, {(3,): 2}], 1500) == Fraction(2, 3001)
     assert time.perf_counter() - t0 < 1.5
