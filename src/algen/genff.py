@@ -438,20 +438,15 @@ def _f2_operators(blocks):
     return D, _f2_encode(_scalar_coords(shape)), tables
 
 
-def _f2_span_generates(D: int, seed: int, gens, key=None) -> bool:
+def _f2_span_generates(D: int, seed: int, gens) -> bool:
     """Closure over F_2 of seed under the operators gens (nibble tables
     as from _f2_operators) on D-bit vectors: True iff the span reaches
     rank D.  Words are taken breadth-first, from a worklist that grows
-    while it is read; the span is an XOR echelon keyed by the leading
-    bit.  With a list as key, each row carries its combination of the
-    kept words in D tag bits below its vector, the loop runs until every
-    kept word has met every generator, and each product is logged to key
-    for _orbit_key: -1 - j if it is kept as word j, else its combination.
+    while it is read; the span is an XOR echelon keyed by the leading bit.
     """
-    tag = 0 if key is None else D
     # piv[b]: the echelon row whose leading bit is bit b - 1
-    piv = [0] * (D + tag + 1)
-    piv[seed.bit_length() + tag] = seed << tag | (tag and 1)
+    piv = [0] * (D + 1)
+    piv[seed.bit_length()] = seed
     rank = 1
     work = [seed]
     for v in work:
@@ -461,27 +456,18 @@ def _f2_span_generates(D: int, seed: int, gens, key=None) -> bool:
             for tab in tables:
                 w ^= tab[u & 15]
                 u >>= 4
-            x = w << tag if tag else w
+            x = w
             while x:
                 b = x.bit_length()
                 r = piv[b]
                 if not r:
-                    if tag:
-                        if b <= tag:  # only tags left: w is in the span
-                            key.append(x)
-                            break
-                        key.append(-1 - rank)
-                        x |= 1 << rank
                     piv[b] = x
                     rank += 1
-                    if rank == D and key is None:
+                    if rank == D:
                         return True
                     work.append(w)
                     break
                 x ^= r
-            else:
-                if tag:
-                    key.append(0)
     return rank == D
 
 
@@ -566,16 +552,25 @@ def _check_count_args(k: int, n: int, q: int, s: int = 1, m: int = 1):
 
 def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
                 threads: int = 1) -> int:
-    """Exact count of generating k-tuples of (M_n(F_{q^s}))^m over F_q,
-    by exhaustive enumeration.
+    """Exact count of generating k-tuples of (M_n(F_{q^s}))^m over F_q.
+
+    The g generating k-tuples of one factor M = M_n(F_{q^s}) are counted
+    by the sweep of _brute_single.  A k-tuple of M^m generates iff its m
+    coordinate k-tuples generate M and lie in pairwise distinct orbits of
+    the automorphisms of M as an F_q-algebra, which number
+    t = s |PGL_n(F_{q^s})| and act freely on generating tuples: g / t
+    orbits of size t, and _copies counts the m-tuples of distinct ones.
     """
     p, e = _check_count_args(k, n, q, s, m)
-    # a power count (m > 1) runs over the same coordinate k-tuples
+    # the sweep runs over the k-tuples of one factor, whatever m is
     check_enum(q, s * n * n * k, "states")
-    ctx = make_field(p, e)
+    g = _brute_single(k, n, make_field(p, e), s, threads)
     if m == 1:
-        return _brute_single(k, n, ctx, s, threads)
-    return _brute_power(k, n, ctx, s, m)
+        return g
+    t = s * ffalg.group_orders(n, q ** s)[1]
+    if g % t:
+        raise AssertionError("automorphisms must act freely on generating tuples")
+    return _copies(g // t, t, m)
 
 
 def _brute_single(k: int, n: int, ctx: FieldCtx, s: int, threads: int) -> int:
@@ -726,24 +721,6 @@ def _orbit_shard(args) -> tuple[int]:
     return (total,)
 
 
-def _brute_power(k: int, n: int, ctx: FieldCtx, s: int, m: int) -> int:
-    """Count generating k-tuples of (M_n(F_{q^s}))^m by the simple-factor
-    test: the m coordinate k-tuples must each generate M_n(F_{q^s}) and lie
-    in pairwise distinct automorphism orbits.  With the orbit sizes c_1,
-    c_2, ... of generating_orbits, the m-tuples of pairwise distinct
-    orbits number m! e_m(c_1, c_2, ...).
-    """
-    sizes = [size for _first, size in generating_orbits(k, n, ctx, s).values()]
-    if m > len(sizes):
-        return 0
-    # e[j]: elementary symmetric sum of degree j of the orbit sizes so far
-    e = [1] + [0] * m
-    for c in sizes:
-        for j in range(m, 0, -1):
-            e[j] += e[j - 1] * c
-    return math.factorial(m) * e[m]
-
-
 def generating_orbits(k: int, n: int, ctx: FieldCtx, s: int = 1) -> dict:
     """The automorphism orbits of the generating k-tuples of M_n(F_{q^s})
     as an F_q-algebra, ctx = F_q: {_orbit_key: [first member, size]}.
@@ -751,7 +728,9 @@ def generating_orbits(k: int, n: int, ctx: FieldCtx, s: int = 1) -> dict:
     Every k-tuple of matrices is keyed once, in row-major lexicographic
     order of its entry codes, so each first member (a tuple of k matrices,
     each a row-major tuple of codes) is the least tuple of its orbit, and
-    the orbits come in the order of their first members.
+    the orbits come in the order of their first members.  Counts never
+    key tuples (brute_count); construct_M2Z16 keys the 256 pairs of
+    M_2(F_2).
     """
     shape = shape_over_field(ctx, [(n, s, 1)])
     mats = list(itertools.product(range(ctx.q ** s), repeat=n * n))
@@ -759,11 +738,7 @@ def generating_orbits(k: int, n: int, ctx: FieldCtx, s: int = 1) -> dict:
     # built once; the key's closure decides
     prime, vecs = _over_prime_field(
         shape, [_element_coords(shape, (a,)) for a in mats])
-    if ctx.p == 2:
-        op = _f2_operators(prime.blocks)[2]
-        ops = [op(_f2_encode(v)) for v in vecs]
-    else:
-        ops = [left_mul_ops(prime, v) for v in vecs]
+    ops = [left_mul_ops(prime, v) for v in vecs]
     scalars = ops[len(mats):]
     orbits: dict = {}
     for tup in itertools.product(range(len(mats)), repeat=k):
@@ -783,13 +758,12 @@ def _orbit_key(shape: AlgebraShape, gens) -> tuple | None:
 
     The tuple comes recoded over F_p (_over_prime_field, which adds x 1 as
     a generator when q > p): shape is the recoded shape and gens the
-    operators of the generators, nibble tables from _f2_operators over
-    F_2, left_mul_ops rows for odd p.  _f2_span_generates over F_2 and
-    _closure for odd p take the words breadth-first from 1, in generator
-    order, until each basis word has met every generator: a word is kept
-    as basis word b_j if it is independent of those kept before.  The key
-    lists, in that order, an entry for each kept word and the coordinates
-    of every other one in the basis, carried by the echelon rows as tags.
+    left_mul_ops rows of the generators.  _closure takes the words
+    breadth-first from 1, in generator order, until each basis word has
+    met every generator: a word is kept as basis word b_j if it is
+    independent of those kept before.  The key lists, in that order, an
+    entry for each kept word and the coordinates of every other one in
+    the basis, carried by the echelon rows as tags.
 
     An F_q-automorphism, a conjugation composed with a Frobenius power over
     F_q, maps each word to the same word of the image tuple and so fixes
@@ -801,23 +775,19 @@ def _orbit_key(shape: AlgebraShape, gens) -> tuple | None:
     """
     D = shape.rank
     key = []
-    if shape.ctx.p == 2:
-        full = _f2_span_generates(D, _f2_operators(shape.blocks)[1], gens, key)
-    else:
-        ech = FqEchelon(shape.ctx, D)
+    ech = FqEchelon(shape.ctx, D)
 
-        def add(w):
-            r = ech.reduce(w + [0] * D)
-            if not any(r[:D]):
-                key.append(tuple(r[D:]))
-                return False
-            key.append(ech.dim)
-            r[D + ech.dim] = 1
-            return ech.insert(r)
+    def add(w):
+        r = ech.reduce(w + [0] * D)
+        if not any(r[:D]):
+            key.append(tuple(r[D:]))
+            return False
+        key.append(ech.dim)
+        r[D + ech.dim] = 1
+        return ech.insert(r)
 
-        _closure(add, lambda: 0, shape.ctx.p, _scalar_coords(shape), gens)
-        full = ech.dim == D
-    return tuple(key) if full else None
+    _closure(add, lambda: 0, shape.ctx.p, _scalar_coords(shape), gens)
+    return tuple(key) if ech.dim == D else None
 
 
 # ---------------------------------------------------------------------------
@@ -866,9 +836,9 @@ def g_closed_form(k: int, n: int, q: int) -> int:
 def count_gen_power_formula(k: int, n: int, q: int, s: int, m: int,
                             max_digits: int = 0) -> int:
     """|Gen_k((M_n(F_{q^s}))^m, F_q)| as the falling-factorial product
-    prod_{i=0}^{m-1} (g - i*t) with t = s * |PGL_n(F_{q^s})|, where
-    g / t = (1/s) sum_{d | s} mu(s/d) gen_{k,n}(q^d) (README "Counts by
-    formula").  With max_digits > 0 (0 means no limit, as for
+    prod_{i=0}^{m-1} (g - i*t) with t = s * |PGL_n(F_{q^s})| (_copies),
+    where g / t = (1/s) sum_{d | s} mu(s/d) gen_{k,n}(q^d) (README "Counts
+    by formula").  With max_digits > 0 (0 means no limit, as for
     sys.get_int_max_str_digits), TooLarge when the count has more decimal
     digits than that, before any evaluation when a bound proves it.
     """
@@ -889,10 +859,17 @@ def count_gen_power_formula(k: int, n: int, q: int, s: int, m: int,
                  for sub in itertools.combinations(primes, j))
     if orbits % s:
         raise AssertionError("the Galois group must act freely on generating tuples")
-    orbits //= s
+    return _copies(orbits // s, s * ffalg.group_orders(n, q ** s)[1], m,
+                   max_digits)
+
+
+def _copies(orbits: int, t: int, m: int, max_digits: int = 0) -> int:
+    """prod_{i<m} (orbits - i) t: the m-tuples of members of pairwise
+    distinct orbits, each of size t; 0 at once when m > orbits.  TooLarge
+    as soon as the product has more than max_digits decimal digits
+    (0 means no limit)."""
     if m > orbits:
         return 0
-    t = s * ffalg.group_orders(n, q ** s)[1]
     cap = 10 ** max_digits if max_digits else math.inf
     total = 1
     for i in range(m):
@@ -921,8 +898,9 @@ def two_generators_ext(n: int, q: int, s: int = 1):
 
     Returns (ext_ctx, A, B); the pair is verified by the closure test
     before returning.  A field degree above MAX_TWOGEN_DEGREE, a
-    dimension above MAX_TWOGEN_DIM and an unfactored q^s - 1 are refused
-    before any field is built.
+    dimension above MAX_TWOGEN_DIM, an extension block over a non-prime
+    base field and an unfactored q^s - 1 are refused before any field is
+    built.
     """
     if n < 1:
         raise BadParams("n must be >= 1")
@@ -933,10 +911,13 @@ def two_generators_ext(n: int, q: int, s: int = 1):
     if n * n * s > MAX_TWOGEN_DIM:
         raise TooLarge(f"M_n(F_{{q^s}}) has dimension n^2 s = {n * n * s} "
                        f"over F_q, above {MAX_TWOGEN_DIM}")
-    if e * s > 1 and 1 in (e, s):
+    if e > 1 and s > 1:
+        raise UnsupportedSize(
+            "extension blocks are only supported over a prime base field")
+    if e * s > 1:
         # the generator search needs the primes of q^s - 1: an unfactored
         # one is refused before the field is built, which took up to a
-        # minute (e > 1 with s > 1 is refused below as invalid)
+        # minute
         ffalg.prime_factors(q ** s - 1)
     ext = make_field(p, e * s)
     shape = shape_over_field(make_field(p, e), [(n, s, 1)])

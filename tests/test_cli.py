@@ -245,6 +245,12 @@ def test_exit_codes(capsys):
         assert time.perf_counter() - t0 < 1, argv
     code, _ = run_cli(capsys, "exhaustive", "--polys", "not json", "--N", "2")
     assert code == 2
+    # extension blocks over F_9: refused before F_{3^64} is built (3.7 s)
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "construct", "--what", "twogen", "--n", "1",
+                        "--q", "9", "--s", "32")
+    assert code == 2 and out == ""
+    assert time.perf_counter() - t0 < 0.5
     for P in ("-5", "0", "1"):  # no primes to sieve
         code, out = run_cli(capsys, "density", "--kind", "matrix", "--n", "3",
                             "--k", "2", "--P", P)
@@ -503,8 +509,8 @@ def test_construct_twogen_over_a_huge_prime_field(capsys):
 
 def test_count_brute_power_from_orbit_sizes():
     # 256^16 m-tuples of coordinate pairs of M_2(F_2): counted from the
-    # sizes of the 16 orbits of generating pairs, never enumerated, so
-    # only the 256 coordinate pairs meet the enumeration cap
+    # 96 generating pairs in 16 orbits of 6, never enumerated, so only
+    # the 256 coordinate pairs meet the enumeration cap
     res = _run_subprocess("count", "--k", "2", "--n", "2", "--q", "2",
                           "--m", "16", "--verify")
     assert res.returncode == 0, res.stderr
@@ -515,16 +521,27 @@ def test_count_brute_power_from_orbit_sizes():
 
 
 def test_count_brute_power_at_the_paper_scale(capsys):
-    # |Gen_2(M_3(F_2)^2)| = 129024 (129024 - 168): every pair of M_3(F_2)
-    # decided and keyed by its orbit against the closed form
+    # |Gen_2(M_3(F_2)^2)| = 129024 (129024 - 168): the 129024 generating
+    # pairs of M_3(F_2) from the first-entry sweep, in 768 orbits of 168,
+    # against the closed form; the sweep shards, so threads agree
     doc = run_json(capsys, "count", "--k", "2", "--n", "3", "--q", "2",
                    "--m", "2", "--verify")
     assert doc["brute"] == doc["formula"] == "16625516544" == str(129024 * 128856)
+    base = ("count", "--k", "2", "--n", "3", "--q", "2", "--m", "2", "--brute")
+    for threads in ("1", "2"):
+        doc = run_json(capsys, *base, "--threads", threads)
+        assert doc["value"] == "16625516544", threads
+    # M_3(F_3)^2: 294772608 pairs in 52488 orbits of |PGL_3(F_3)| = 5616
+    t0 = time.perf_counter()
+    doc = run_json(capsys, "count", "--k", "2", "--n", "3", "--q", "3",
+                   "--m", "2", "--verify")
+    assert doc["brute"] == doc["formula"] == "86889234984155136"
+    assert time.perf_counter() - t0 < 10
 
 
 def test_count_brute_power_over_f2_itself(capsys):
     # D = 1: each of the 4 pairs of F_2 generates it and is its own orbit,
-    # so 3 copies take 3! e_3(1, 1, 1, 1) = 24 triples
+    # so 3 copies take 4 * 3 * 2 = 24 triples
     doc = run_json(capsys, "count", "--k", "2", "--n", "1", "--q", "2",
                    "--m", "3", "--verify")
     assert doc["brute"] == doc["formula"] == "24"
@@ -591,8 +608,8 @@ def test_formula_mode_never_sweeps(capsys, monkeypatch):
 
 
 def test_count_brute_power_needs_no_group_sweep(capsys):
-    # orbit keys come from the tuples themselves, so |GL_1(F_10007)| =
-    # 10006 no longer meets a cap: only the 10007 coordinate tuples do
+    # the automorphism group is counted, not swept, so |GL_1(F_10007)| =
+    # 10006 meets no cap: only the 10007 coordinate tuples do
     base = ("count", "--k", "1", "--n", "1", "--q", "10007", "--m", "2")
     brute = run_json(capsys, *base, "--brute")
     assert brute["value"] == "100130042" == str(10007 * 10006)

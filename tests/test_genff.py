@@ -597,7 +597,7 @@ def test_falling_factorial():
 
 def test_brute_power_matches_formula():
     assert brute_count(2, 2, 2, s=1, m=2) == 8640
-    # 3888 (3888 - |PGL_2(F_3)|): 3888 generating pairs keyed by their orbits
+    # 3888 (3888 - |PGL_2(F_3)|): 3888 generating pairs in orbits of 48
     assert (brute_count(2, 2, 3, m=2) == 15023232
             == count_gen_power_formula(2, 2, 3, 1, 2))
 
@@ -635,14 +635,11 @@ def test_generates_power():
 
 def _orbit_key(ctx, s, n, t):
     """genff._orbit_key of the tuple t of M_n(F_{q^s}) matrices, the
-    block taken as an algebra over ctx = F_q, with the operators it takes:
-    nibble tables over F_2, left_mul_ops rows for odd p."""
+    block taken as an algebra over ctx = F_q, with the left_mul_ops rows
+    it takes."""
     block = shape_over_field(ctx, [(n, s, 1)])
     shape, vecs = genff._over_prime_field(
         block, [genff._element_coords(block, (a,)) for a in t])
-    if ctx.p == 2:
-        op = genff._f2_operators(shape.blocks)[2]
-        return genff._orbit_key(shape, [op(genff._f2_encode(v)) for v in vecs])
     return genff._orbit_key(shape, [genff.left_mul_ops(shape, v) for v in vecs])
 
 
@@ -714,18 +711,6 @@ def test_orbit_key_refuses_non_generating_tuples():
     assert _orbit_key(f2, 1, 2, (E12, E12)) is None
     assert _orbit_key(f3, 1, 2, (E12, E12)) is None
     assert _orbit_key(f2, 2, 1, ((1,), (1,))) is None
-
-
-def test_f2_keys_never_reach_the_list_loop(monkeypatch):
-    # over F_2 the packed closure decides and keys; _closure serves odd p
-    # and Z only
-    def refuse(*args):
-        raise AssertionError("F_2 work reached the list loop")
-
-    monkeypatch.setattr(genff, "_closure", refuse)
-    assert brute_count(2, 2, 2, m=2) == 8640
-    orbits = genff.generating_orbits(2, 2, make_field(2))
-    assert [size for _first, size in orbits.values()] == [6] * 16
 
 
 # (q, samples): M_2(F_q) as an algebra over F_q itself, q = p^2
@@ -1197,6 +1182,24 @@ def test_brute_power_matches_loop_oracle():
         k, n, q, s, m = args
         assert brute_count(k, n, q, s=s, m=m) == want
         assert _distinct_orbit_loop(*args) == want
+
+
+def test_brute_power_matches_orbit_sizes():
+    # m! e_m of the orbit sizes of generating_orbits, which assumes no
+    # free action, against the falling factorial of brute_count:
+    # M_2(F_2)^2, M_2(F_3)^2, F_4^3 over F_2, M_2(F_2)^4 and M_2(F_2)^17
+    for (k, n, q, s, m), want in (((2, 2, 2, 1, 2), 8640),
+                                  ((2, 2, 3, 1, 2), 15023232),
+                                  ((3, 1, 2, 2, 3), 157248),
+                                  ((2, 2, 2, 1, 4), 56609280),
+                                  ((2, 2, 2, 1, 17), 0)):
+        orbits = genff.generating_orbits(k, n, make_field(q), s)
+        # e[j]: elementary symmetric sum of degree j of the orbit sizes
+        e = [1] + [0] * m
+        for _first, size in orbits.values():
+            for j in range(m, 0, -1):
+                e[j] += e[j - 1] * size
+        assert math.factorial(m) * e[m] == brute_count(k, n, q, s=s, m=m) == want
 
 
 def test_brute_extension_field_oracle():
