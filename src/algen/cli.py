@@ -177,13 +177,13 @@ def _density_payload(dv: density.DensityValue) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_count(args, config: dict) -> int:
+    digits = sys.get_int_max_str_digits()
     if args.mode in ("brute", "verify"):
         brute = genff.brute_count(args.k, args.n, args.q, s=args.s, m=args.m,
-                                  threads=args.threads)
+                                  threads=args.threads, max_digits=digits)
     if args.mode in ("formula", "verify"):
         formula = genff.count_gen_power_formula(
-            args.k, args.n, args.q, args.s, args.m,
-            max_digits=sys.get_int_max_str_digits())
+            args.k, args.n, args.q, args.s, args.m, max_digits=digits)
     # tuple counts are big-integer quantities: always decimal strings
     if args.mode == "brute":
         _emit(config, {"method": "brute", "value": _enc_str(brute)})

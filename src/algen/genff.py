@@ -551,7 +551,7 @@ def _check_count_args(k: int, n: int, q: int, s: int = 1, m: int = 1):
 
 
 def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
-                threads: int = 1) -> int:
+                threads: int = 1, max_digits: int = 0) -> int:
     """Exact count of generating k-tuples of (M_n(F_{q^s}))^m over F_q.
 
     The g generating k-tuples of one factor M = M_n(F_{q^s}) are counted
@@ -560,6 +560,9 @@ def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
     the automorphisms of M as an F_q-algebra, which number
     t = s |PGL_n(F_{q^s})| and act freely on generating tuples: g / t
     orbits of size t, and _copies counts the m-tuples of distinct ones.
+    With max_digits > 0 (0 means no limit), TooLarge as soon as that
+    product has more decimal digits than that, as for
+    count_gen_power_formula.
     """
     p, e = _check_count_args(k, n, q, s, m)
     # the sweep runs over the k-tuples of one factor, whatever m is
@@ -570,7 +573,7 @@ def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
     t = s * ffalg.group_orders(n, q ** s)[1]
     if g % t:
         raise AssertionError("automorphisms must act freely on generating tuples")
-    return _copies(g // t, t, m)
+    return _copies(g // t, t, m, max_digits)
 
 
 def _brute_single(k: int, n: int, ctx: FieldCtx, s: int, threads: int) -> int:
@@ -719,75 +722,6 @@ def _orbit_shard(args) -> tuple[int]:
             if start >= hi:
                 return (total,)
     return (total,)
-
-
-def generating_orbits(k: int, n: int, ctx: FieldCtx, s: int = 1) -> dict:
-    """The automorphism orbits of the generating k-tuples of M_n(F_{q^s})
-    as an F_q-algebra, ctx = F_q: {_orbit_key: [first member, size]}.
-
-    Every k-tuple of matrices is keyed once, in row-major lexicographic
-    order of its entry codes, so each first member (a tuple of k matrices,
-    each a row-major tuple of codes) is the least tuple of its orbit, and
-    the orbits come in the order of their first members.  Counts never
-    key tuples (brute_count); construct_M2Z16 keys the 256 pairs of
-    M_2(F_2).
-    """
-    shape = shape_over_field(ctx, [(n, s, 1)])
-    mats = list(itertools.product(range(ctx.q ** s), repeat=n * n))
-    # each matrix recoded over F_p, x 1 last when q > p, and its operator
-    # built once; the key's closure decides
-    prime, vecs = _over_prime_field(
-        shape, [_element_coords(shape, (a,)) for a in mats])
-    ops = [left_mul_ops(prime, v) for v in vecs]
-    scalars = ops[len(mats):]
-    orbits: dict = {}
-    for tup in itertools.product(range(len(mats)), repeat=k):
-        key = _orbit_key(prime, [ops[i] for i in tup] + scalars)
-        orbit = orbits.get(key)
-        if orbit:
-            orbit[1] += 1
-        elif key is not None:
-            orbits[key] = [tuple(mats[i] for i in tup), 1]
-    return orbits
-
-
-def _orbit_key(shape: AlgebraShape, gens) -> tuple | None:
-    """A key of a generating tuple of a one-block F_q shape, equal for two
-    tuples iff an automorphism of the block as an F_q-algebra maps one to
-    the other; None when the tuple does not generate.
-
-    The tuple comes recoded over F_p (_over_prime_field, which adds x 1 as
-    a generator when q > p): shape is the recoded shape and gens the
-    left_mul_ops rows of the generators.  _closure takes the words
-    breadth-first from 1, in generator order, until each basis word has
-    met every generator: a word is kept as basis word b_j if it is
-    independent of those kept before.  The key lists, in that order, an
-    entry for each kept word and the coordinates of every other one in
-    the basis, carried by the echelon rows as tags.
-
-    An F_q-automorphism, a conjugation composed with a Frobenius power over
-    F_q, maps each word to the same word of the image tuple and so fixes
-    the key.  Conversely, if tuples T and T' have equal keys, the F_p-linear
-    map L: b_j(T) -> b_j(T') sends 1 to 1 and L(g b) = g' L(b) for every
-    generator g, x 1 included, so it maps every word to the same word: L is
-    an algebra automorphism that commutes with x 1, so F_q-linear.  No
-    Galois image needs to be tried.
-    """
-    D = shape.rank
-    key = []
-    ech = FqEchelon(shape.ctx, D)
-
-    def add(w):
-        r = ech.reduce(w + [0] * D)
-        if not any(r[:D]):
-            key.append(tuple(r[D:]))
-            return False
-        key.append(ech.dim)
-        r[D + ech.dim] = 1
-        return ech.insert(r)
-
-    _closure(add, lambda: 0, shape.ctx.p, _scalar_coords(shape), gens)
-    return tuple(key) if ech.dim == D else None
 
 
 # ---------------------------------------------------------------------------

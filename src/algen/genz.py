@@ -325,16 +325,26 @@ def _code_to_zmat(n: int, code: int) -> tuple[int, ...]:
 def construct_M2Z16():
     """Two explicit generators of M_2(Z)^16.
 
-    genff.generating_orbits gives the 16 automorphism orbits of the 96
-    generating pairs of M_2(F_2), each of size |PGL_2(F_2)| = 6, in order
-    of their first members, the row-major least pairs.  Those {0,1} pairs
-    are lifted unchanged to integer matrices and assembled coordinatewise;
-    the Z-closure certifies the result before it is returned.
+    The 256 pairs of M_2(F_2) are walked in row-major lexicographic order,
+    and a pair is kept when it generates M_2(F_2) and, with each pair kept
+    before it, generates M_2(F_2)^2.  A pair of M_2(F_2)^m generates iff
+    its coordinate pairs generate and no automorphism relates two of them;
+    over F_2 every automorphism is a conjugation, so the kept pairs are the
+    least pairs of the 16 orbits of PGL_2(F_2), of size 6, on the 96
+    generating pairs.  They are lifted unchanged to integer matrices and
+    assembled coordinatewise; the Z-closure certifies the result before it
+    is returned.
     """
-    orbits = genff.generating_orbits(2, 2, ffalg.make_field(2))
-    if len(orbits) != 16:
-        raise CertificationFailed(f"expected 16 orbits, found {len(orbits)}")
-    x, y = zip(*(first for first, _size in orbits.values()))
+    f2 = ffalg.make_field(2)
+    one, two = (genff.shape_over_field(f2, [(2, 1, m)]) for m in (1, 2))
+    kept = []
+    for A, B in itertools.product(itertools.product((0, 1), repeat=4), repeat=2):
+        if genff.generates(one, [(A,), (B,)]) and all(
+                genff.generates(two, [(A, C), (B, D)]) for C, D in kept):
+            kept.append((A, B))
+    if len(kept) != 16:
+        raise CertificationFailed(f"expected 16 orbits, found {len(kept)}")
+    x, y = zip(*kept)
     report = generates_Z(shape_over_Z([(2, 16)]), [x, y])
     if not report.generates:
         raise CertificationFailed(

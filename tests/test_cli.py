@@ -223,6 +223,9 @@ def test_exit_codes(capsys):
                  ("count", "--k", "3000", "--n", "3", "--q", "1000003"),
                  ("count", "--k", "1000000", "--n", "3", "--q", "2", "--m", "2"),
                  ("count", "--k", "1000000", "--n", "2", "--q", "3", "--brute"),
+                 # 2500 copies of 120 pairs: the brute falling factorial
+                 # stops at the digit limit, as the formula's does
+                 ("count", "--k", "2", "--n", "2", "--q", "5", "--m", "2500", "--brute"),
                  # 2^27 bytes of the first-entry orbit table (MAX_CODES)
                  ("count", "--k", "1", "--n", "2", "--q", "2", "--s", "7", "--brute"),
                  # Monte Carlo caps n as counts do

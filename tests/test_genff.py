@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 
+import orbitkeys
 import pytest
 from conjugacy import (
     are_conjugate_tuples,
@@ -563,6 +564,14 @@ def test_formula_refused_before_the_work():
             assert c < 10 ** 300
 
 
+def test_brute_power_refused_at_the_digit_limit():
+    # 162 orbits of 24 pairs of M_2(F_3): 100 copies count about 360
+    # digits, refused once the product passes 50; 2 copies pass
+    with pytest.raises(TooLarge):
+        brute_count(2, 2, 3, m=100, max_digits=50)
+    assert brute_count(2, 2, 3, m=2, max_digits=50) == 3888 * 3864
+
+
 def test_alpha():
     assert alpha(1, 2, 2) == 0  # m < n
     assert alpha(1, 1, 7) == 6
@@ -634,13 +643,13 @@ def test_generates_power():
 
 
 def _orbit_key(ctx, s, n, t):
-    """genff._orbit_key of the tuple t of M_n(F_{q^s}) matrices, the
+    """orbitkeys._orbit_key of the tuple t of M_n(F_{q^s}) matrices, the
     block taken as an algebra over ctx = F_q, with the left_mul_ops rows
     it takes."""
     block = shape_over_field(ctx, [(n, s, 1)])
     shape, vecs = genff._over_prime_field(
         block, [genff._element_coords(block, (a,)) for a in t])
-    return genff._orbit_key(shape, [genff.left_mul_ops(shape, v) for v in vecs])
+    return orbitkeys._orbit_key(shape, [genff.left_mul_ops(shape, v) for v in vecs])
 
 
 def _random_generating(rng, ctx, ext, n, k, entries=None):
@@ -1193,7 +1202,7 @@ def test_brute_power_matches_orbit_sizes():
                                   ((3, 1, 2, 2, 3), 157248),
                                   ((2, 2, 2, 1, 4), 56609280),
                                   ((2, 2, 2, 1, 17), 0)):
-        orbits = genff.generating_orbits(k, n, make_field(q), s)
+        orbits = orbitkeys.generating_orbits(k, n, make_field(q), s)
         # e[j]: elementary symmetric sum of degree j of the orbit sizes
         e = [1] + [0] * m
         for _first, size in orbits.values():

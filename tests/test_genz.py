@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import random
 
+import orbitkeys
 import pytest
 from conjugacy import are_conjugate_tuples, gl_elements, inverse
 from f2pairs import f2_generating_pairs
@@ -409,10 +410,13 @@ def test_factor_index_refuses_probable_primes():
 # ---------------------------------------------------------------------------
 
 def test_pair_orbits():
-    orbits = genff.generating_orbits(2, 2, ffalg.make_field(2))
+    orbits = orbitkeys.generating_orbits(2, 2, ffalg.make_field(2))
     assert len(orbits) == 16
     # PGL_2(F_2) acts freely: 16 orbits of 6 make the 96 generating pairs
     assert [size for _first, size in orbits.values()] == [6] * 16
+    # the keyed orbits' first members are the pairs the witness keeps by
+    # closures in M_2(F_2)^2
+    assert [first for first, _size in orbits.values()] == list(zip(*construct_M2Z16()))
 
 
 def test_construct_m2z16():
