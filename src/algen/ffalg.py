@@ -1,4 +1,5 @@
-"""Exact arithmetic in F_{p^s} and dense linear algebra over it.
+"""Exact arithmetic in F_{p^s}, dense matrices over it, and a row echelon
+over F_p.
 
 Field elements are encoded as integers in [0, q): the element with
 coefficient vector (c_0, ..., c_{s-1}) over F_p gets the code
@@ -186,19 +187,17 @@ def gfp_powmod(f: list[int], e: int, m: list[int], p: int) -> list[int]:
 
 
 def gfp_is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic f of degree >= 1 over F_p."""
+    """Ben-Or's test for a monic f of degree d >= 1 over F_p: f is
+    irreducible iff gcd(f, x^(p^i) - x) = 1 for i = 1 .. d // 2, since a
+    reducible f has an irreducible factor of some degree i <= d / 2, which
+    divides x^(p^i) - x.  It stops at the first i that finds a factor."""
     d = len(f) - 1
     assert d >= 1 and f[-1] % p == 1
-    if d == 1:
-        return True
     x = [0, 1]
-    # x^(p^d) must reduce to x modulo f
-    xp = gfp_powmod(x, p ** d, f, p)
-    if xp != gfp_mod(x, f, p):
-        return False
-    for r in prime_factors(d):
-        xe = gfp_powmod(x, p ** (d // r), f, p)
-        diff = [(a - b) % p for a, b in itertools.zip_longest(xe, x, fillvalue=0)]
+    xp = x
+    for _ in range(d // 2):
+        xp = gfp_powmod(xp, p, f, p)
+        diff = [(a - b) % p for a, b in itertools.zip_longest(xp, x, fillvalue=0)]
         if gfp_gcd(gfp_trim(diff), f, p) != [1]:
             return False
     return True
@@ -250,11 +249,6 @@ class FieldCtx:
         if self.s == 1:
             return (a + b) % self.p
         return self.from_coeffs(map(operator.add, self.coeffs(a), self.coeffs(b)))
-
-    def sub(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a - b) % self.p
-        return self.from_coeffs(map(operator.sub, self.coeffs(a), self.coeffs(b)))
 
     def mul(self, a: int, b: int) -> int:
         if self.s == 1:
@@ -401,18 +395,16 @@ def mat_mul(ctx: FieldCtx, n: int, A, B) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mat_transpose(n: int, A) -> tuple[int, ...]:
-    return tuple(A[j * n + i] for i in range(n) for j in range(n))
-
-
 class FqEchelon:
-    """Incremental row echelon over F_q: tracks span dimension as rows arrive.
-    Pivots lie in the first width coordinates; any further ones ride along."""
+    """Incremental row echelon over a prime field F_p: tracks span dimension
+    as rows arrive.  Pivots lie in the first width coordinates; any further
+    ones ride along."""
 
-    __slots__ = ("ctx", "width", "pivots")
+    __slots__ = ("p", "width", "pivots")
 
     def __init__(self, ctx: FieldCtx, width: int):
-        self.ctx = ctx
+        assert ctx.s == 1, "FqEchelon works over a prime field"
+        self.p = ctx.p
         self.width = width
         self.pivots: dict[int, list[int]] = {}
 
@@ -422,31 +414,25 @@ class FqEchelon:
 
     def reduce(self, vec) -> list[int]:
         """The remainder of vec after elimination by every basis row."""
-        ctx = self.ctx
-        p = ctx.p if ctx.s == 1 else 0
+        p = self.p
         v = list(vec)
         for j in range(self.width):
             a = v[j]
             if a:
                 row = self.pivots.get(j)
-                if row is None:
-                    continue
-                if p:
+                if row is not None:
                     v = [(x - a * y) % p for x, y in zip(v, row)]
-                else:
-                    v = [ctx.sub(x, ctx.mul(a, y)) for x, y in zip(v, row)]
         return v
 
     def insert(self, vec) -> bool:
         """Reduce vec against the basis; insert the remainder. True if new."""
-        ctx = self.ctx
+        p = self.p
         v = self.reduce(vec)
         for j in range(self.width):
             a = v[j]
             if a:
-                inv_a = ctx.inv(a)
-                self.pivots[j] = ([inv_a * x % ctx.p for x in v] if ctx.s == 1
-                                  else [ctx.mul(inv_a, x) for x in v])
+                inv_a = pow(a, p - 2, p)
+                self.pivots[j] = [inv_a * x % p for x in v]
                 return True
         return False
 

@@ -560,13 +560,15 @@ def brute_count(k: int, n: int, q: int, s: int = 1, m: int = 1,
     the automorphisms of M as an F_q-algebra, which number
     t = s |PGL_n(F_{q^s})| and act freely on generating tuples: g / t
     orbits of size t, and _copies counts the m-tuples of distinct ones.
-    With max_digits > 0 (0 means no limit), TooLarge as soon as that
-    product has more decimal digits than that, as for
-    count_gen_power_formula.
+    With max_digits > 0 (0 means no limit), TooLarge when that product
+    has more decimal digits than that: before the sweep when bit lengths
+    prove it (_check_digits, as for count_gen_power_formula), else as soon
+    as the product passes the limit.
     """
     p, e = _check_count_args(k, n, q, s, m)
     # the sweep runs over the k-tuples of one factor, whatever m is
     check_enum(q, s * n * n * k, "states")
+    _check_digits(k, n, q, s, m, max_digits)
     g = _brute_single(k, n, make_field(p, e), s, threads)
     if m == 1:
         return g
@@ -762,11 +764,6 @@ def _absolutely_simple(k: int, n: int, q: int) -> int:
     return a.numerator
 
 
-def g_closed_form(k: int, n: int, q: int) -> int:
-    """Number of generating k-tuples of M_n(F_q), gen_count * |PGL_n(F_q)|."""
-    return gen_count(k, n, q) * (alpha(n, n, q) // (q - 1))
-
-
 def count_gen_power_formula(k: int, n: int, q: int, s: int, m: int,
                             max_digits: int = 0) -> int:
     """|Gen_k((M_n(F_{q^s}))^m, F_q)| as the falling-factorial product
@@ -779,14 +776,7 @@ def count_gen_power_formula(k: int, n: int, q: int, s: int, m: int,
     _check_count_args(k, n, q, s, m)
     if k == 1 and n > 1:
         return 0  # one matrix generates a commutative algebra, not M_n
-    # g >= 2^low and g / t >= 2^copies, from g >= Q^(kn^2) / (16n) with
-    # Q = q^s, t <= 2s Q^(n^2-1) and 2^(b-1) <= q < 2^b; as 10/3 > log2(10),
-    # 3 low > 10 max_digits makes g longer than max_digits
-    b = q.bit_length()
-    low = k * n * n * s * (b - 1) - 4 - n.bit_length()
-    copies = low - (2 * s).bit_length() - (n * n - 1) * s * b
-    if max_digits and 3 * low > 10 * max_digits and m.bit_length() <= copies:
-        raise TooLarge(f"the count has more than {max_digits} decimal digits")
+    _check_digits(k, n, q, s, m, max_digits)
     primes = ffalg.prime_factors(s)
     orbits = sum((-1) ** j * _absolutely_simple(k, n, q ** (s // math.prod(sub)))
                  for j in range(len(primes) + 1)
@@ -795,6 +785,23 @@ def count_gen_power_formula(k: int, n: int, q: int, s: int, m: int,
         raise AssertionError("the Galois group must act freely on generating tuples")
     return _copies(orbits // s, s * ffalg.group_orders(n, q ** s)[1], m,
                    max_digits)
+
+
+def _check_digits(k: int, n: int, q: int, s: int, m: int, max_digits: int):
+    """TooLarge when bit lengths alone prove that the count of generating
+    k-tuples of (M_n(F_{q^s}))^m over F_q has more than max_digits decimal
+    digits (0 means no limit), whichever route counts it.  For k = 1 and
+    n > 1 the count is 0."""
+    if k == 1 and n > 1:
+        return
+    # g >= 2^low and g / t >= 2^copies, from g >= Q^(kn^2) / (16n) with
+    # Q = q^s, t <= 2s Q^(n^2-1) and 2^(b-1) <= q < 2^b; as 10/3 > log2(10),
+    # 3 low > 10 max_digits makes g longer than max_digits
+    b = q.bit_length()
+    low = k * n * n * s * (b - 1) - 4 - n.bit_length()
+    copies = low - (2 * s).bit_length() - (n * n - 1) * s * b
+    if max_digits and 3 * low > 10 * max_digits and m.bit_length() <= copies:
+        raise TooLarge(f"the count has more than {max_digits} decimal digits")
 
 
 def _copies(orbits: int, t: int, m: int, max_digits: int = 0) -> int:
@@ -821,7 +828,7 @@ def _copies(orbits: int, t: int, m: int, max_digits: int = 0) -> int:
 # two_generators_ext accepts.  Over F_2, degree 64 takes about 1 s and
 # M_4(F_{2^64}), dimension 1024, about 4 s; degree 100 took 11 s and
 # dimension 3200 (M_8(F_{2^50})) 26 s.  Odd primes near degree 64 cost
-# the most: M_4(F_{7^48}) takes 12.5 s (README "Notes").
+# the most: M_4(F_{5^60}) takes 13 s (README "Notes").
 MAX_TWOGEN_DEGREE = 64
 MAX_TWOGEN_DIM = 1024
 

@@ -29,7 +29,7 @@ from collections import namedtuple
 from operator import sub
 
 from . import ffalg, genff
-from .errors import BadParams, CertificationFailed, ShapeMismatch, UnsupportedSize
+from .errors import CertificationFailed, ShapeMismatch, UnsupportedSize
 from .ffalg import prime_factors as factor_index
 from .genff import AlgebraShape, shape_over_Z
 from .parutil import sharded_sum
@@ -139,25 +139,6 @@ class Lattice(namedtuple("Lattice", "D basis")):
                     out.append(v)
                     break
         return tuple(out)
-
-
-def hnf(rows, D: int | None = None) -> Lattice:
-    """Canonical Hermite normal form of the row span.
-
-    The ambient rank is taken from the rows; pass D explicitly when the
-    row list may be empty.
-    """
-    rows = [list(r) for r in rows]
-    if not rows and D is None:
-        raise BadParams("no rows; pass D to fix the ambient rank")
-    if D is None:
-        D = len(rows[0])
-    ech = _ZEchelon(D)
-    for r in rows:
-        if len(r) != D:
-            raise BadParams("rows of unequal length")
-        ech.add(r)
-    return Lattice(D, ech.canonical_basis())
 
 
 # ---------------------------------------------------------------------------

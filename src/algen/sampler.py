@@ -101,18 +101,6 @@ class SplitMix64:
             self.state = (self.state + need * _GOLDEN) & _MASK64
         return [v % m for v in out]
 
-    def next64(self) -> int:
-        return self.draws(1 << 64, 1)[0]
-
-
-def substream(seed: int, index: int) -> SplitMix64:
-    """The generator of sample index: its state is the SplitMix64 mix of
-    seed XOR ((index + 1) * GOLDEN mod 2^64), which is the first output
-    of a generator one step behind that value."""
-    z = seed ^ ((index + 1) * _GOLDEN & _MASK64)
-    return SplitMix64(SplitMix64(z - _GOLDEN).next64())
-
-
 class BoxModel(namedtuple("BoxModel", "N seed samples")):
     """Cube [-N, N]^D sampling plan: half-width, seed, and sample count."""
 
@@ -157,7 +145,8 @@ def sample_tuples(shape: AlgebraShape, k: int, box: BoxModel, lo: int, hi: int):
     first, steps = _steps(1), _steps(count)
     for start in range(lo, hi, per):
         n = min(per, hi - start)
-        # as in substream: one step from z - GOLDEN, z = seed ^ (i+1)*GOLDEN
+        # the substream state: the first output of a generator one step
+        # behind z = seed ^ (i + 1) GOLDEN
         firsts = _outputs([(box.seed ^ (i + 1) * _GOLDEN) - _GOLDEN & _MASK64
                            for i in range(start, start + n)], first)
         vals = _outputs(firsts, steps)

@@ -2,6 +2,8 @@
 
 genff decides automorphism orbits by a canonical orbit key; this sweep
 over GL_n, which compares g a with b g and needs no inverses, checks it.
+Rows are eliminated over F_q itself (fq_insert), with no recoding over
+F_p, so the F_p echelon of ffalg is not needed.
 """
 
 import itertools
@@ -23,12 +25,32 @@ def galois_order(ctx, base_q: int) -> int:
     return s
 
 
+def fq_sub(ctx, a, b) -> int:
+    """a - b in ctx: -b is the product with the code p - 1 of -1."""
+    return ctx.add(a, ctx.mul(ctx.p - 1, b))
+
+
+def fq_insert(ctx, pivots: dict, v) -> bool:
+    """Gaussian elimination over F_q itself: reduce the row v by the rows
+    of pivots, each keyed by its leading column, where it is 1, and add
+    the remainder there, made monic.  True iff v was independent."""
+    v = list(v)
+    for j in range(len(v)):
+        a = v[j]
+        if a:
+            row = pivots.get(j)
+            if row is None:
+                inv = ctx.inv(a)
+                pivots[j] = [ctx.mul(inv, x) for x in v]
+                return True
+            v = [fq_sub(ctx, x, ctx.mul(a, y)) for x, y in zip(v, row)]
+    return False
+
+
 def is_invertible(ctx, n: int, g) -> bool:
     """True iff the rows of the n x n matrix g are independent over ctx."""
-    ech = ffalg.FqEchelon(ctx, n)
-    for i in range(n):
-        ech.insert(g[i * n:(i + 1) * n])
-    return ech.dim == n
+    pivots = {}
+    return all(fq_insert(ctx, pivots, g[i * n:(i + 1) * n]) for i in range(n))
 
 
 @lru_cache(maxsize=8)

@@ -1,12 +1,19 @@
 """Results of the paper that the tests check against exact counts: the
-lower bound on the generating m-tuples of M_n(F_q), and the number of
-field-type maximal subalgebras of M_n(F_q).  No command computes them.
+number of generating k-tuples of M_n(F_q), its lower bound, and the
+number of field-type maximal subalgebras of M_n(F_q).  No command
+computes them.
 """
 
 import math
 
 from algen import ffalg
 from algen.errors import BadParams
+from algen.genff import gen_count
+
+
+def g_closed_form(k: int, n: int, q: int) -> int:
+    """Number of generating k-tuples of M_n(F_q), gen_count * |PGL_n(F_q)|."""
+    return gen_count(k, n, q) * ffalg.group_orders(n, q)[1]
 
 
 def lower_bound(m: int, n: int, q: int) -> int:

@@ -10,7 +10,13 @@ compare with the closure.
 import itertools
 
 from algen.errors import ShapeMismatch, UnsupportedSize
-from algen.ffalg import FieldCtx, mat_mul, mat_transpose
+from algen.ffalg import FieldCtx, mat_mul
+
+
+def transpose(n: int, a) -> tuple:
+    """The transpose of the row-major n x n matrix a, whose column i is
+    a[i::n]."""
+    return tuple(x for i in range(n) for x in a[i::n])
 
 
 def _lines(ctx: FieldCtx, n: int):
@@ -75,7 +81,7 @@ def generates_structural(ctx: FieldCtx, t, n: int) -> bool:
             raise ShapeMismatch("matrix size mismatch")
     if _common_invariant_line(ctx, n, mats):
         return False
-    transposed = [mat_transpose(n, a) for a in mats]
+    transposed = [transpose(n, a) for a in mats]
     if _common_invariant_line(ctx, n, transposed):
         return False
     for i in range(len(mats)):

@@ -12,7 +12,7 @@ from algen.genff import shape_over_field, shape_over_Z
 
 from conftest import ACCEPTANCE_LINES
 from f2pairs import f2_generating_pairs
-from paperbounds import lower_bound
+from paperbounds import g_closed_form, lower_bound
 from seededpairs import m2z_pairs_with_closure_verdicts
 from structural import generates_structural
 
@@ -33,7 +33,7 @@ def test_criterion_1_brute_vs_formula():
     for (k, n, q), expect in [((2, 2, 2), 96), ((3, 2, 2), 2688),
                               ((2, 2, 3), 3888)]:
         brute = genff.brute_count(k, n, q)
-        formula = genff.g_closed_form(k, n, q)
+        formula = g_closed_form(k, n, q)
         results[(k, n, q)] = (brute, formula, expect)
     elapsed = time.time() - t0
     ok = all(b == f == e for b, f, e in results.values()) and elapsed < 10
@@ -44,7 +44,7 @@ def test_criterion_1_brute_vs_formula():
 def test_criterion_2_129024():
     t0 = time.time()
     brute = genff.brute_count(2, 3, 2)
-    formula = genff.g_closed_form(2, 3, 2)
+    formula = g_closed_form(2, 3, 2)
     elapsed = time.time() - t0
     ok = brute == formula == 129024 and elapsed < 300
     _report(2, ok, f"generating pairs of M_3(F_2): brute {brute}, "
@@ -133,7 +133,7 @@ def test_criterion_8_monte_carlo():
 def test_criterion_9_density_self_consistency():
     t0 = time.time()
     spec = density.EulerProductSpec(
-        lambda p: Fraction(genff.g_closed_form(3, 2, p), p ** 12),
+        lambda p: Fraction(g_closed_form(3, 2, p), p ** 12),
         10 ** 5, 2.0, 2.0)
     ep = density.euler_product(spec)
     ref = density.den_matrix(2, 3)
@@ -233,7 +233,7 @@ def test_criterion_11_property_suites():
     for n in (2, 3):
         for q in (2, 3, 4, 5):
             for m in range(1, 8):
-                g = genff.g_closed_form(m, n, q)
+                g = g_closed_form(m, n, q)
                 if g < lower_bound(m, n, q):
                     ineq_ok = False
                 dim = n * n

@@ -510,6 +510,19 @@ def test_construct_twogen_over_a_huge_prime_field(capsys):
     assert doc["field"]["modulus"] == [1, 0, 1]
 
 
+def test_construct_twogen_over_f7_degree_48(capsys):
+    # the modulus search runs Ben-Or's test on each candidate, which stops
+    # at the candidate's first small factor instead of raising x to 7^48
+    t0 = time.perf_counter()
+    doc = run_json(capsys, "construct", "--what", "twogen", "--n", "1",
+                   "--q", "7", "--s", "48")
+    assert time.perf_counter() - t0 < 6
+    assert doc["field"] == {"modulus": [1] + [0] * 44 + [3, 3, 4, 1], "p": 7,
+                            "q": str(7 ** 48), "s": 48}
+    assert doc["generators"] == [{"entries": [[0] * 46 + [1, 1]], "n": 1},
+                                 {"entries": [[1] + [0] * 47], "n": 1}]
+
+
 def test_count_brute_power_from_orbit_sizes():
     # 256^16 m-tuples of coordinate pairs of M_2(F_2): counted from the
     # 96 generating pairs in 16 orbits of 6, never enumerated, so only
@@ -831,7 +844,7 @@ def test_records_check_their_fields_and_are_read_only():
         density.DensityValue(0.5, 1e-9, None, density.EXACT_ZETA),
         density.EulerProductSpec(lambda p: 1, 10, 2.0, 0.0),
         genff.shape_over_Z([(2, 1)]),
-        genz.hnf([[2, 1], [0, 3]]),
+        genz.Lattice(2, ((2, 1), (0, 3))),
         genz.generates_Z(genff.shape_over_Z([(2, 1)]), [((1, 0, 0, 0),)]),
         polys.min_generators(2, 16),
         sampler.BoxModel(5, 1),

@@ -10,6 +10,7 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from paperbounds import g_closed_form
 
 from algen import density
 from algen.cli import main
@@ -22,7 +23,6 @@ from algen.density import (
     zeta_value,
 )
 from algen.errors import BadParams, DivergentTail
-from algen.genff import g_closed_form
 from algen.polys import phi_poly, poly_degree, poly_eval
 
 # reference value computed independently via the alternating series

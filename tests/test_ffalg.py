@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from conjugacy import are_conjugate_tuples, gl_elements
+from conjugacy import are_conjugate_tuples, fq_insert, fq_sub, gl_elements
 
 from algen import ffalg
 from algen.errors import (
@@ -53,6 +53,21 @@ def test_modulus_irreducible_exhaustive(p, s):
             den = list(low) + [1]
             if ffalg.gfp_mod(mod, den, p) == []:
                 pytest.fail(f"modulus has factor {den}")
+
+
+def _monics(p, d):
+    return ([*low, 1] for low in itertools.product(range(p), repeat=d))
+
+
+@pytest.mark.parametrize("p, top", [(2, 10), (3, 7), (5, 5), (7, 4)])
+def test_ben_or_against_a_brute_factor_search(p, top):
+    # a monic of degree d is reducible iff it is the product of two monics
+    # of degrees e and d - e for some 1 <= e <= d / 2
+    for d in range(1, top + 1):
+        reducible = {tuple(ffalg.gfp_mul(g, h, p)) for e in range(1, d // 2 + 1)
+                     for g in _monics(p, e) for h in _monics(p, d - e)}
+        for f in _monics(p, d):
+            assert ffalg.gfp_is_irreducible(f, p) == (tuple(f) not in reducible), f
 
 
 def _first_irreducible_full_scan(p, s):
@@ -234,9 +249,14 @@ def test_fq_echelon_dimension():
     basis = [tuple(1 if i == j else 0 for j in range(4)) for i in range(4)]
     assert _echelon_dim(f3, basis, 4) == 4
     assert _echelon_dim(f2, [(1, 1, 0), (1, 1, 0), (0, 1, 1)], 3) == 2
-    # over F_4 (codes 2 = x, 3 = x + 1): (x, 1) = x (1, x + 1)
-    assert _echelon_dim(f4, [(1, 3), (2, 1)], 2) == 1
-    assert _echelon_dim(f4, [(1, 3), (2, 3)], 2) == 2
+    # FqEchelon works over F_p; the tests eliminate over F_4 itself with
+    # fq_insert (codes 2 = x, 3 = x + 1): (x, 1) = x (1, x + 1)
+    with pytest.raises(AssertionError):
+        ffalg.FqEchelon(f4, 2)
+    pivots = {}
+    assert [fq_insert(f4, pivots, v) for v in [(1, 3), (2, 1)]] == [True, False]
+    pivots = {}
+    assert [fq_insert(f4, pivots, v) for v in [(1, 3), (2, 3)]] == [True, True]
 
 
 def test_group_orders_examples():
@@ -256,7 +276,7 @@ def _count_invertible_2x2(q: int) -> int:
         det = (a * d - b * c) % q
         return int(np.count_nonzero(det))
     mul = np.array([[ctx.mul(x, y) for y in range(q)] for x in range(q)])
-    neg = np.array([ctx.sub(0, x) for x in range(q)])
+    neg = np.array([ctx.mul(ctx.p - 1, x) for x in range(q)])
     add = np.array([[ctx.add(x, y) for y in range(q)] for x in range(q)])
     a, b, c, d = np.meshgrid(*([np.arange(q)] * 4), indexing="ij")
     det = add[mul[a, d], neg[mul[b, c]]]
@@ -280,7 +300,7 @@ class _TabledField:
         els = range(ctx.q)
         self._mul, self._add, self._sub = (
             [[op(a, b) for b in els] for a in els]
-            for op in (ctx.mul, ctx.add, ctx.sub))
+            for op in (ctx.mul, ctx.add, lambda a, b: fq_sub(ctx, a, b)))
 
     def mul(self, a, b):
         return self._mul[a][b]
@@ -298,7 +318,7 @@ def test_group_orders_vs_enumeration():
         assert group_orders(2, q)[0] == _count_invertible_2x2(q), q
     # n = 3 with q^9 <= 10^6: q in {2, 3, 4}
     for q in [2, 3]:
-        ctx = make_field(q)
+        ctx = _TabledField(make_field(q))
         count = sum(1 for m in itertools.product(range(q), repeat=9)
                     if _det3(ctx, m) != 0)
         assert group_orders(3, q)[0] == count

@@ -12,6 +12,7 @@ import orbitkeys
 import pytest
 from conjugacy import (
     are_conjugate_tuples,
+    fq_insert,
     frobenius,
     galois_order,
     inverse,
@@ -20,8 +21,13 @@ from conjugacy import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from listclosure import list_closure_generates
-from paperbounds import _isqrt_ceil, count_field_type_subalgebras, lower_bound
-from structural import generates_structural
+from paperbounds import (
+    _isqrt_ceil,
+    count_field_type_subalgebras,
+    g_closed_form,
+    lower_bound,
+)
+from structural import generates_structural, transpose
 from subspacesweep import subspace_count, subspace_total
 
 from algen import ffalg, genff
@@ -31,7 +37,6 @@ from algen.genff import (
     alpha,
     brute_count,
     count_gen_power_formula,
-    g_closed_form,
     gen_count,
     generates,
     shape_over_field,
@@ -120,17 +125,17 @@ def _matrix_closure_generates(shape, t):
     sizes = shape.slot_sizes()
     fields = _slot_fields(shape)
     D = shape.rank
-    ech = ffalg.FqEchelon(shape.ctx, D)
+    pivots = {}
     one = _identity_element(shape)
-    ech.insert(genff._element_coords(shape, one))
+    fq_insert(shape.ctx, pivots, genff._element_coords(shape, one))
     work = [one]
-    while work and ech.dim < D:
+    while work and len(pivots) < D:
         v = work.pop()
         for g in t:
             w = _element_mul(fields, sizes, g, v)
-            if ech.insert(genff._element_coords(shape, w)):
+            if fq_insert(shape.ctx, pivots, genff._element_coords(shape, w)):
                 work.append(w)
-    return ech.dim == D
+    return len(pivots) == D
 
 
 def _naive_word_span_generates(shape, t):
@@ -146,10 +151,10 @@ def _naive_word_span_generates(shape, t):
         words.extend(level)
         if len(words) > 6000:
             break
-    ech = ffalg.FqEchelon(shape.ctx, D)
+    pivots = {}
     for w in words:
-        ech.insert(genff._element_coords(shape, w))
-    return ech.dim == D
+        fq_insert(shape.ctx, pivots, genff._element_coords(shape, w))
+    return len(pivots) == D
 
 
 def test_closure_against_word_span_oracle():
@@ -564,12 +569,27 @@ def test_formula_refused_before_the_work():
             assert c < 10 ** 300
 
 
-def test_brute_power_refused_at_the_digit_limit():
+def test_brute_power_refused_at_the_digit_limit(monkeypatch):
     # 162 orbits of 24 pairs of M_2(F_3): 100 copies count about 360
     # digits, refused once the product passes 50; 2 copies pass
     with pytest.raises(TooLarge):
         brute_count(2, 2, 3, m=100, max_digits=50)
     assert brute_count(2, 2, 3, m=2, max_digits=50) == 3888 * 3864
+    # 162 copies, one per orbit, count 24^162 162!; 163 copies count 0.
+    # Only the orbit count tells the two apart, so a count that bit
+    # lengths cannot refuse is refused after its sweep
+    with pytest.raises(TooLarge):
+        brute_count(2, 2, 3, m=162, max_digits=50)
+    assert brute_count(2, 2, 3, m=163, max_digits=50) == 0
+    # where bit lengths prove the count too long, as for the formula, the
+    # sweep never starts: the 504 generating triples of F_8 over F_2
+    def refuse(*args):
+        raise AssertionError("swept a count that bit lengths refuse")
+
+    monkeypatch.setattr(genff, "_brute_single", refuse)
+    for count in (brute_count, count_gen_power_formula):
+        with pytest.raises(TooLarge):
+            count(3, 1, 2, 3, 1, max_digits=1)
 
 
 def test_alpha():
@@ -928,7 +948,7 @@ def _odd_p_tuples(draw):
         mats = [tuple(0 if j % n == 0 and j else x for j, x in enumerate(X))
                 for X in mats]
         if kind == "plane":
-            mats = [ffalg.mat_transpose(n, X) for X in mats]
+            mats = [transpose(n, X) for X in mats]
     return ctx, n, mats
 
 

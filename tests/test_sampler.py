@@ -23,7 +23,6 @@ from algen.sampler import (
     mc_density,
     sample_tuple,
     sample_tuples,
-    substream,
 )
 
 SHAPE2 = shape_over_Z([(2, 1)])
@@ -40,19 +39,22 @@ X2 = {(0, 1): 1}
 
 
 def test_splitmix_determinism():
-    a = SplitMix64(42)
-    b = SplitMix64(42)
-    assert [a.next64() for _ in range(5)] == [b.next64() for _ in range(5)]
-    assert substream(42, 0).next64() != substream(42, 1).next64()
+    assert SplitMix64(42).draws(2 ** 64, 5) == SplitMix64(42).draws(2 ** 64, 5)
+    box = BoxModel(2 ** 62, 42)
+    assert sample_tuple(SHAPE2, 1, box, 0) != sample_tuple(SHAPE2, 1, box, 1)
 
 
 def test_splitmix_pinned_draws():
-    # the published SplitMix64 outputs for seed 0
-    rng = SplitMix64(0)
-    assert [rng.next64() for _ in range(3)] == [
-        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-    assert substream(42, 0).next64() == 6332618229526065668
-    assert substream(42, 1).next64() == 3480922969410067931
+    # the published SplitMix64 outputs for seed 0, from the reference
+    # generator and the lane-packed one
+    published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert _scalar_draws(0, 2 ** 64, 3)[0] == published
+    assert SplitMix64(0).draws(2 ** 64, 3) == published
+    # the first output of the substreams of samples 0 and 1 at seed 42
+    assert _scalar_draws(_substream_state(42, 0), 2 ** 64, 1)[0] == [
+        6332618229526065668]
+    assert _scalar_draws(_substream_state(42, 1), 2 ** 64, 1)[0] == [
+        3480922969410067931]
     # m = 2^63 + 1 rejects about half of the 64-bit outputs; one call and
     # six calls make the same stream
     want = [7191089600892374487, 309689372594955804, 8346079845500723674,
@@ -91,13 +93,20 @@ def _scalar_draws(state, m, count):
     return out, state, steps
 
 
+def _substream_state(seed, index):
+    """The state of the substream of a sample index: the first output of
+    a generator one step behind seed XOR (index + 1) * GOLDEN."""
+    z = (seed ^ (index + 1) * sampler._GOLDEN) & _MASK
+    (s,), _, _ = _scalar_draws((z - sampler._GOLDEN) & _MASK, 2 ** 64, 1)
+    return s
+
+
 def _scalar_sample(shape, k, box, index):
     """sample_tuple by the reference generator, and its steps past the
     k * rank that every sample takes."""
-    z = (box.seed ^ (index + 1) * sampler._GOLDEN) & _MASK
-    (s,), _, _ = _scalar_draws((z - sampler._GOLDEN) & _MASK, 2 ** 64, 1)
     count = k * shape.rank
-    vals, _, steps = _scalar_draws(s, 2 * box.N + 1, count)
+    vals, _, steps = _scalar_draws(_substream_state(box.seed, index),
+                                   2 * box.N + 1, count)
     it = iter(v - box.N for v in vals)
     t = tuple(tuple(tuple(itertools.islice(it, n * n))
                     for n in shape.slot_sizes()) for _ in range(k))
